@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,12 +62,11 @@ def _word_vectors(word: str, gram: str):
 
 
 def _cmd_pairings(args, _seed):
-    ctx = combinat.IndexSet.range(args.n)
-    out = []
-    for p in combinat.enumerate_pairings(ctx, args.k):
-        cr, sp, crb = combinat.contraction_stats(p)
-        out.append({"pairs": [list(pair) for pair in p.pairs],
-                    "cr": cr, "sp": sp, "crb": crb})
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    table = combinat.pairing_table((0,) * args.n, combinat.ONE_CLASS, (), args.k)
+    out = [{"pairs": [[s + 1, t + 1] for s, t in pairs], "cr": cr, "sp": sp, "crb": cr + sp}
+           for pairs, cr, sp in table]
     return {"count": len(out), "pairings": out}
 
 
@@ -105,7 +105,7 @@ def _cmd_multiply(args, _seed):
     return {"element": wickalg.multiply(A, B, args.q).to_json()}
 
 
-def _cmd_norm(args, seed):
+def _cmd_norm(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'element': ...} required")
@@ -114,7 +114,7 @@ def _cmd_norm(args, seed):
     if args.cutoff is not None:
         op = wickalg.to_operator(A, args.q, args.cutoff)
         sectors = sorted(op.exact_sectors)
-        out["operator_norm_estimate"] = fock.operator_norm(op, sectors, seed=seed)
+        out["operator_norm_estimate"] = fock.operator_norm(op, sectors)
         out["sectors"] = sectors
     return out
 
@@ -224,7 +224,7 @@ def _build_parser() -> _Parser:
     add("wick-expand", _cmd_wick_expand, "Wick expansion of a field product")
     add("multiply", _cmd_multiply, "product of two Wick expansions")
 
-    p = add("norm", _cmd_norm, "graded norm (and operator-norm estimate)")
+    p = add("norm", _cmd_norm, "graded norm (and exact operator norm)")
     p.add_argument("--cutoff", type=int, default=None)
 
     add("delta-r", _cmd_delta_r, "renormalised insertion product")
@@ -271,8 +271,21 @@ def _echo_inputs(args) -> dict:
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
-        out[key] = value
+        # JSON has no NaN or infinity: echo a rejected value as text
+        out[key] = str(value) if _non_finite(value) else value
     return out
+
+
+def _non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _check_inputs(args) -> None:
+    for key, value in vars(args).items():
+        if _non_finite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    if not -1.0 <= args.q <= 1.0:
+        raise ValueError(f"--q must lie in [-1, 1], got {args.q}")
 
 
 def _preprocess(argv):
@@ -290,32 +303,35 @@ def _preprocess(argv):
     return out
 
 
-def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_preprocess(list(argv)))
-    seed = _resolve_seed(args)
-    start = time.monotonic()
-    status = "ok"
-    try:
-        outputs = args.fn(args, seed)
-        exit_code = 0
-        if args.command == "verify" and not outputs.get("passed", False):
-            status = "error"
-            outputs = {"code": "verification-failed", **outputs}
-            exit_code = 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        status = "error"
-        outputs = {"code": type(exc).__name__, "message": str(exc)}
-        exit_code = 2
-    elapsed_ms = int(round(1000.0 * (time.monotonic() - start)))
+def _document(args, outputs, status: str, start: float) -> str:
     result = {
         "command": args.command,
         "inputs": _echo_inputs(args),
         "outputs": outputs,
         "status": status,
-        "elapsed_ms": elapsed_ms,
+        "elapsed_ms": int(round(1000.0 * (time.monotonic() - start))),
     }
-    text = jsonio.dumps(result) + "\n"
+    return jsonio.dumps(result) + "\n"
+
+
+def run(argv) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(_preprocess(list(argv)))
+    start = time.monotonic()
+    status = "ok"
+    try:
+        _check_inputs(args)
+        outputs = args.fn(args, _resolve_seed(args))
+        exit_code = 0
+        if args.command == "verify" and not outputs.get("passed", False):
+            status = "error"
+            outputs = {"code": "verification-failed", **outputs}
+            exit_code = 2
+        # rendering raises on a non-finite result, which is reported like any error
+        text = _document(args, outputs, status, start)
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        text = _document(args, {"code": type(exc).__name__, "message": str(exc)}, "error", start)
+        exit_code = 2
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

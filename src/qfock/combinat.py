@@ -12,11 +12,22 @@ finite, totally ordered label set) together with three integer statistics:
 Labels are arbitrary naturals, not necessarily ``1..n``, so that sub-pairings
 keep the labels of their parent set.  All values are immutable and all
 functions are pure.
+
+One engine, ``pairing_table``, enumerates every pairing sum in the package.
+Each position of a row has a class (``None``: never pairs), and a set of
+class pairs says which may pair; all pairings are the one-class case,
+inter-block pairings have a class per block, restricted pairings a leg class
+that may not pair with itself and a class per insert block, and a product's
+cross pairings a left and a right class.  Fixed arcs count towards the
+statistics.  Tables are cached by shape alone (classes, allowed pairs, fixed
+arcs, ``k``; never q or the dimension), for at most ``TABLE_CACHE_SIZE``
+shapes.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 
@@ -122,12 +133,6 @@ class PartitionedSet:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_index(self, label: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if label in b:
-                return i
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class CosetRep:
@@ -224,26 +229,92 @@ def mirror_double(pairing: Pairing) -> Pairing:
 # enumeration
 # ---------------------------------------------------------------------------
 
+#: Allowed class pairs when every position is of class 0 and any two may pair.
+ONE_CLASS = frozenset({(0, 0)})
 
-def _pairings_rec(labels: tuple[int, ...], k: int | None):
-    # Recursive enumeration: the smallest label is either free or paired
-    # with some later label.
-    if k is not None and k == 0:
-        yield ()
-        return
-    if not labels:
-        if k is None or k == 0:
-            yield ()
-        return
-    head, rest = labels[0], labels[1:]
-    if k is None or 2 * k <= len(rest):
-        for tail in _pairings_rec(rest, k):
-            yield tail
-    for i, other in enumerate(rest):
-        sub = rest[:i] + rest[i + 1:]
-        nxt = None if k is None else k - 1
-        for tail in _pairings_rec(sub, nxt):
-            yield ((head, other),) + tail
+#: Number of shapes whose pairing tables ``pairing_table`` keeps.
+TABLE_CACHE_SIZE = 256
+
+
+def across_classes(m: int) -> frozenset:
+    """Allowed class pairs joining two distinct classes among ``0..m-1``."""
+    return frozenset(itertools.combinations(range(m), 2))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def pairing_table(classes: tuple, allowed: frozenset, fixed: tuple = (),
+                  k: int | None = None) -> tuple:
+    """The admissible pairings of positions ``0..n-1``, as ``(pairs, cr, sp)``.
+
+    Positions ``s < t`` may pair when ``(classes[s], classes[t])`` or its
+    reverse is in ``allowed``; class ``None`` never pairs.  ``fixed`` arcs are
+    not enumerated, but ``cr`` and ``sp`` are those of ``fixed ∪ pairs``, a
+    free position being one no arc covers.  With ``k``, only pairings of
+    exactly ``k`` arcs are listed.  ``pairs`` is sorted by first position and
+    the entries come in lexicographic order of ``pairs``.
+
+    >>> for entry in pairing_table((0, 0, 1), frozenset({(0, 1)})):
+    ...     print(entry)
+    ((), 0, 0)
+    (((0, 2),), 0, 1)
+    (((1, 2),), 0, 0)
+    """
+    n = len(classes)
+    if k is not None and k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    ok = set(allowed) | {(b, a) for a, b in allowed}
+    covered = [False] * n
+    arcs: list[tuple[int, int]] = []
+
+    def crossings(s: int, t: int) -> int:
+        return sum(1 for a, b in arcs if a < s < b < t or s < a < t < b)
+
+    cr0 = 0
+    for s, t in fixed:
+        if not 0 <= s < t < n or covered[s] or covered[t]:
+            raise ValueError(f"fixed arc ({s}, {t}) leaves 0..{n - 1} or meets another arc")
+        cr0 += crossings(s, t)
+        arcs.append((s, t))
+        covered[s] = covered[t] = True
+    n_fixed = len(arcs)
+    table = []
+
+    # Arcs are placed in increasing order of their first position, which
+    # yields the pairings in lexicographic order.
+    def rec(start: int, cr: int) -> None:
+        depth = len(arcs) - n_fixed
+        if k is None or depth == k:
+            sp = sum(1 for a, b in arcs for x in range(a + 1, b) if not covered[x])
+            table.append((tuple(arcs[n_fixed:]), cr, sp))
+            if depth == k:
+                return
+        # open positions from s on; one skipped over stays free
+        remaining = sum(1 for i in range(start, n) if classes[i] is not None and not covered[i])
+        for s in range(start, n):
+            if classes[s] is None or covered[s]:
+                continue
+            if k is not None and 2 * (k - depth) > remaining:
+                break
+            remaining -= 1
+            covered[s] = True
+            for t in range(s + 1, n):
+                if not covered[t] and (classes[s], classes[t]) in ok:
+                    extra = crossings(s, t)
+                    arcs.append((s, t))
+                    covered[t] = True
+                    rec(s + 1, cr + extra)
+                    covered[t] = False
+                    arcs.pop()
+            covered[s] = False
+
+    rec(0, cr0)
+    return tuple(table)
+
+
+def _pairings_over(context: IndexSet, table) -> list[Pairing]:
+    labels = context.elements
+    return [Pairing(tuple((labels[s], labels[t]) for s, t in pairs), context)
+            for pairs, _, _ in table]
 
 
 def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]:
@@ -255,20 +326,14 @@ def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]
     >>> [p.pairs for p in enumerate_pairings(IndexSet.range(3))]
     [(), ((1, 2),), ((1, 3),), ((2, 3),)]
     """
-    if k is not None and 2 * k > len(context):
-        return []
-    raw = {tuple(sorted(p)) for p in _pairings_rec(context.elements, k)}
-    return [Pairing(p, context) for p in sorted(raw)]
+    return _pairings_over(context, pairing_table((0,) * len(context), ONE_CLASS, (), k))
 
 
 def enumerate_interblock_pairings(partitioned: PartitionedSet) -> list[Pairing]:
     """Pairings of the total set with no pair internal to a block."""
-    ctx = partitioned.total
-    out = []
-    for p in enumerate_pairings(ctx):
-        if all(partitioned.block_index(s) != partitioned.block_index(t) for s, t in p.pairs):
-            out.append(p)
-    return out
+    classes = tuple(i for i, b in enumerate(partitioned.blocks) for _ in b)
+    table = pairing_table(classes, across_classes(partitioned.n_blocks))
+    return _pairings_over(partitioned.total, table)
 
 
 def interleave(legs: PartitionedSet, inserts: PartitionedSet) -> PartitionedSet:
@@ -296,12 +361,10 @@ def enumerate_restricted_pairings(legs: PartitionedSet, inserts: PartitionedSet)
     [(), ((1, 2),), ((2, 3),)]
     """
     woven = interleave(legs, inserts)
-    leg_labels = set(legs.total.elements)
-    out = []
-    for p in enumerate_interblock_pairings(woven):
-        if all(not (s in leg_labels and t in leg_labels) for s, t in p.pairs):
-            out.append(p)
-    return out
+    insert_class = {x: j + 1 for j, block in enumerate(inserts.blocks) for x in block}
+    classes = tuple(insert_class.get(x, 0) for x in woven.total)
+    table = pairing_table(classes, across_classes(inserts.n_blocks + 1))
+    return _pairings_over(woven.total, table)
 
 
 def coset_reps(n: int, k: int) -> list[CosetRep]:

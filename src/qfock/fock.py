@@ -1,5 +1,5 @@
 """Exact finite-dimensional q-Fock space: graded tensors, the q-symmetrizer,
-creation/annihilation/field operators, Wick blocks, and norm estimation.
+creation/annihilation/field operators, Wick blocks, and exact operator norms.
 
 Everything acts on the truncated Fock space ``⊕_{k<=N} H^{⊗k}`` over a real
 ``d``-dimensional one-particle space.  Operators track on which input sectors
@@ -11,7 +11,6 @@ a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +64,6 @@ class FockTensor:
                 raise ValueError("all vectors must share the dimension")
             out = np.multiply.outer(out, v)
         return FockTensor(d, out)
-
-    @staticmethod
-    def basis_word(d: int, word) -> "FockTensor":
-        t = np.zeros((d,) * len(word))
-        t[tuple(word)] = 1.0
-        return FockTensor(d, t)
 
     def __add__(self, other: "FockTensor") -> "FockTensor":
         return FockTensor(self.d, self.data + other.data)
@@ -148,9 +141,6 @@ class FockVector:
         for k in sorted(set(self.sectors) & set(other.sectors)):
             tot += float(np.vdot(self.sectors[k], pq_apply(other.sectors[k], q)))
         return tot
-
-    def f0_norm(self) -> float:
-        return float(np.sqrt(max(self.f0_inner(self), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +235,6 @@ class TruncatedOperator:
     def exact_sectors(self) -> set[int]:
         return set(self.out_map)
 
-    def shifts(self) -> tuple[int, int]:
-        deltas = [o - k for k, outs in self.out_map.items() for o in outs]
-        if not deltas:
-            return (0, 0)
-        return (min(deltas), max(deltas))
-
     def block(self, k_in: int) -> dict[int, np.ndarray]:
         if k_in not in self.out_map:
             raise TruncationError(
@@ -306,9 +290,6 @@ class TruncatedOperator:
 
         return TruncatedOperator(self.d, self.cutoff, dict(self.out_map), maker)
 
-    def __rmul__(self, c: float) -> "TruncatedOperator":
-        return self.scale(float(c))
-
     def compose(self, inner: "TruncatedOperator") -> "TruncatedOperator":
         """The product self∘inner (inner applied first)."""
         if self.d != inner.d:
@@ -330,9 +311,6 @@ class TruncatedOperator:
             return out
 
         return TruncatedOperator(self.d, min(self.cutoff, inner.cutoff), out_map, maker)
-
-    def __matmul__(self, inner: "TruncatedOperator") -> "TruncatedOperator":
-        return self.compose(inner)
 
     # -- dense restrictions ---------------------------------------------------
 
@@ -505,7 +483,7 @@ def wick_block_matrix(k: int, ell: int, F: FockTensor, q: float, cutoff: int) ->
 
 
 # ---------------------------------------------------------------------------
-# norm estimation
+# operator norms
 # ---------------------------------------------------------------------------
 
 
@@ -518,14 +496,12 @@ def _sqrt_and_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
-                  q: float | None = None, tol: float = 1e-9,
-                  max_iter: int = 10000, seed: int = 0) -> float:
+                  q: float | None = None) -> float:
     """Largest singular value of the operator restricted to ``sectors``.
 
-    Power iteration on ``MᵀM`` with a deterministic seeded start vector,
-    stopping when the estimate is stable to relative tolerance ``tol``.
-    With ``metric="fq"`` the singular value is taken in the q-twisted
-    geometry (blocks conjugated by ``P_q^{±1/2}``), which requires |q| < 1.
+    Computed exactly, by a dense SVD of the stacked sector blocks.  With
+    ``metric="fq"`` the singular value is taken in the q-twisted geometry
+    (blocks conjugated by ``P_q^{±1/2}``), which requires |q| < 1.
     """
     sectors = sorted(sectors)
     if not sectors:
@@ -550,27 +526,4 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
             mat[:, col_off[j]:col_off[j + 1]] = mat[:, col_off[j]:col_off[j + 1]] @ blk
     elif metric != "f0":
         raise ValueError(f"unknown metric {metric!r}")
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(mat.shape[1])
-    nx = np.linalg.norm(x)
-    if nx == 0 or not np.any(mat):
-        return 0.0
-    x /= nx
-    sigma_old = np.inf
-    sigma = 0.0
-    for _ in range(max_iter):
-        y = mat @ x
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 0.0
-        x = mat.T @ y
-        x /= np.linalg.norm(x)
-        if abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            break
-        sigma_old = sigma
-    return sigma
-
-
-def load_json_tensor(text: str) -> FockTensor:
-    return FockTensor.from_json(json.loads(text))
+    return float(np.linalg.norm(mat, 2))

@@ -43,7 +43,3 @@ def _render(obj, indent: int, level: int) -> str:
 
 def dumps(obj, indent: int = 2) -> str:
     return _render(obj, indent, 0)
-
-
-def loads(text: str):
-    return json.loads(text)

@@ -18,10 +18,9 @@ import itertools
 
 import numpy as np
 
-from .combinat import (IndexSet, Pairing, contraction_stats, crossing_number,
-                       enumerate_pairings)
+from .combinat import IndexSet, Pairing, across_classes, enumerate_pairings, pairing_table
 from .fock import FockTensor
-from .wickalg import WickElement, multiply
+from .wickalg import WickElement, multiply, sum_chaos
 
 LEG = "leg"
 INSERT = "insert"
@@ -90,30 +89,6 @@ class InsertionPattern:
 # ---------------------------------------------------------------------------
 
 
-def _admissible_sigmas(candidates, owner):
-    """Pairings of candidate rows: never leg-leg, never inside one insert block."""
-
-    def rec(rest):
-        if not rest:
-            yield ()
-            return
-        head, tail = rest[0], rest[1:]
-        # head stays unpaired
-        for sig in rec(tail):
-            yield sig
-        for i, other in enumerate(tail):
-            kind_a, blk_a = owner[head]
-            kind_b, blk_b = owner[other]
-            if kind_a == "leg" and kind_b == "leg":
-                continue
-            if kind_a == "ins" and kind_b == "ins" and blk_a == blk_b:
-                continue
-            for sig in rec(tail[:i] + tail[i + 1:]):
-                yield ((head, other),) + sig
-
-    return rec(tuple(candidates))
-
-
 def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
                     Gs, q: float) -> WickElement:
     """Insertion product of F's legs with one chaos tensor per INSERT slot.
@@ -134,53 +109,38 @@ def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
     if F.degree != len(free_legs):
         raise ValueError(f"tensor degree {F.degree} != {len(free_legs)} remaining legs")
 
-    # Lay out the interleaved row.  owner[r] = ("leg", slot) or ("ins", j);
-    # axis_of[r] = (operand index, axis) for rows that carry a tensor axis.
-    owner: dict[int, tuple[str, int]] = {}
-    axis_of: dict[int, tuple[int, int]] = {}
+    # Lay out the interleaved row: one row per leg slot and one per axis of
+    # each inserted tensor.  A row's class is the operand carrying its axis
+    # (0 for F, j for the j-th insert), or None for a leg that pi contracts.
+    classes: list[int | None] = []
     row_of_leg: dict[int, int] = {}
-    operands = [F.data] + [G.data for G in Gs]
-    row = 0
-    free_rank = {slot: a for a, slot in enumerate(free_legs)}
-    ins_rank = {slot: j for j, slot in enumerate(pattern.insert_slots)}
-    for i, kind in enumerate(pattern.slots):
-        slot = i + 1
+    j = 0
+    for slot, kind in enumerate(pattern.slots, 1):
         if kind == LEG:
-            row += 1
-            owner[row] = ("leg", slot)
-            row_of_leg[slot] = row
-            if slot in free_rank:
-                axis_of[row] = (0, free_rank[slot])
+            row_of_leg[slot] = len(classes)
+            classes.append(0 if slot in free_legs else None)
         else:
-            j = ins_rank[slot]
-            for axis in range(Gs[j].degree):
-                row += 1
-                owner[row] = ("ins", j)
-                axis_of[row] = (j + 1, axis)
-    n_rows = row
-    ctx = IndexSet.range(n_rows)
-    pi_rows = tuple((row_of_leg[s], row_of_leg[t]) for s, t in pi.pairs)
-    candidates = sorted(axis_of)
+            j += 1
+            classes.extend([j] * Gs[j - 1].degree)
+    fixed = tuple((row_of_leg[s], row_of_leg[t]) for s, t in pi.pairs)
+    table = pairing_table(tuple(classes), across_classes(len(Gs) + 1), fixed)
+    operands = [F.data] + [G.data for G in Gs]
+    rows = [r for r, c in enumerate(classes) if c is not None]
 
-    out = WickElement.zero(d)
-    for sigma in _admissible_sigmas(candidates, owner):
-        full = Pairing(pi_rows + sigma, ctx)
-        _, _, crb = contraction_stats(full)
-        weight = q ** crb
+    def terms():
         # contract: rows paired by sigma share an einsum label
-        labels = {r: i for i, r in enumerate(candidates)}
-        for x, y in sigma:
-            labels[y] = labels[x]
-        out_rows = [r for r in candidates if r not in {v for p in sigma for v in p}]
-        args = []
-        for op_idx, data in enumerate(operands):
-            sub = [labels[r] for r in candidates if axis_of[r][0] == op_idx]
-            args.extend([data, sub])
-        args.append([labels[r] for r in out_rows])
-        contracted = np.einsum(*args)
-        term = FockTensor(d, weight * np.asarray(contracted, dtype=float))
-        out = out + WickElement.from_tensor(term)
-    return out.trim()
+        for sigma, cr, sp in table:
+            label = {r: i for i, r in enumerate(rows)}
+            for x, y in sigma:
+                label[y] = label[x]
+            paired = {r for pair in sigma for r in pair}
+            args = []
+            for op, data in enumerate(operands):
+                args.extend([data, [label[r] for r in rows if classes[r] == op]])
+            args.append([label[r] for r in rows if r not in paired])
+            yield q ** (cr + sp) * np.einsum(*args)
+
+    return sum_chaos(d, terms())
 
 
 def delta_R(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
@@ -279,10 +239,9 @@ def counterterm_monomial(n_legs: int, insert_positions, pi) -> tuple[int, int]:
         raise ValueError("incomplete pairing: every leg must be contracted exactly once")
     if set(inserts) & set(legs):
         raise ValueError("insert positions must be disjoint from the legs")
-    ctx = IndexSet(tuple(sorted(legs + inserts)))
-    pairing = Pairing(pairs, ctx)
-    q_power = crossing_number(pairing)
-    delta_power = sum(1 for (s, t) in pairing.pairs for p in inserts if s < p < t)
+    position = {x: i for i, x in enumerate(IndexSet(tuple(sorted(legs + inserts))))}
+    fixed = tuple(sorted((position[s], position[t]) for s, t in pairs))
+    ((_, q_power, delta_power),) = pairing_table((None,) * len(position), frozenset(), fixed)
     return q_power, delta_power
 
 

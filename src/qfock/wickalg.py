@@ -9,13 +9,11 @@ space (``to_operator``) provides the independent oracle for all of it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import (IndexSet, Pairing, contraction_stats, crossing_number,
-                       enumerate_pairings)
+from .combinat import ONE_CLASS, across_classes, pairing_table
 from .fock import (FockTensor, TruncatedOperator, field_operator,
                    identity_operator, wick_block_matrix, zero_operator)
 
@@ -192,6 +190,18 @@ def wick_product_recursive_operator(fs, q: float, cutoff: int) -> TruncatedOpera
     return out
 
 
+def sum_chaos(d: int, terms) -> WickElement:
+    """Sum chaos coefficient arrays, with one dense accumulator per degree.
+
+    Terms are added in the order given, and all-zero degrees are dropped.
+    """
+    acc: dict[int, np.ndarray] = {}
+    for term in terms:
+        k = np.ndim(term)
+        acc[k] = acc[k] + term if k in acc else term
+    return WickElement(d, {k: FockTensor(d, a) for k, a in acc.items()}).trim()
+
+
 def expand_field_product(fs, q: float) -> WickElement:
     """Wick expansion of the plain product of field operators.
 
@@ -203,32 +213,20 @@ def expand_field_product(fs, q: float) -> WickElement:
     n = len(fs)
     if n == 0:
         raise ValueError("empty product")
-    d = len(fs[0])
-    ctx = IndexSet.range(n)
-    out = WickElement.zero(d)
     gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
-    for pairing in enumerate_pairings(ctx):
-        _, _, crb = contraction_stats(pairing)
-        coeff = q ** crb
-        for s, t in pairing.pairs:
-            coeff *= gram[s - 1, t - 1]
-        if coeff == 0.0:
-            continue
-        free = pairing.free()
-        if free:
-            tensor = FockTensor.from_vectors([fs[i - 1] for i in free]).scale(coeff)
-        else:
-            tensor = FockTensor.scalar(d, coeff)
-        out = out + WickElement.from_tensor(tensor)
-    return out.trim()
 
+    def terms():
+        for pairs, cr, sp in pairing_table((0,) * n, ONE_CLASS):
+            coeff = q ** (cr + sp)
+            for s, t in pairs:
+                coeff *= gram[s, t]
+            if coeff == 0.0:
+                continue
+            paired = {x for pair in pairs for x in pair}
+            free = [f for i, f in enumerate(fs) if i not in paired]
+            yield coeff * (FockTensor.from_vectors(free).data if free else np.asarray(1.0))
 
-def _cross_pairings(m: int, n: int):
-    """All ways to pair a subset of ``1..m`` injectively into ``1..n``."""
-    for k in range(min(m, n) + 1):
-        for left in itertools.combinations(range(1, m + 1), k):
-            for right in itertools.permutations(range(1, n + 1), k):
-                yield tuple((i, m + j) for i, j in zip(left, right))
+    return sum_chaos(len(fs[0]), terms())
 
 
 def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
@@ -242,25 +240,21 @@ def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
     """
     if A.d != B.d:
         raise ValueError("dimension mismatch")
-    d = A.d
-    out = WickElement.zero(d)
-    for m in sorted(A.chaos):
-        F = A.chaos[m]
-        for n in sorted(B.chaos):
-            G = B.chaos[n]
-            ctx = IndexSet.range(m + n)
-            for pairs in _cross_pairings(m, n):
-                _, _, crb = contraction_stats(Pairing(pairs, ctx))
-                w = q ** crb
-                if pairs:
-                    axes_f = [s - 1 for s, _ in pairs]
-                    axes_g = [t - m - 1 for _, t in pairs]
-                    data = np.tensordot(F.data, G.data, axes=(axes_f, axes_g))
-                else:
-                    data = np.multiply.outer(F.data, G.data)
-                term = FockTensor(d, w * data)
-                out = out + WickElement.from_tensor(term)
-    return out.trim()
+
+    def terms():
+        for m in sorted(A.chaos):
+            F = A.chaos[m].data
+            for n in sorted(B.chaos):
+                G = B.chaos[n].data
+                for pairs, cr, sp in pairing_table((0,) * m + (1,) * n, across_classes(2)):
+                    if pairs:
+                        axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
+                        data = np.tensordot(F, G, axes=axes)
+                    else:
+                        data = np.multiply.outer(F, G)
+                    yield q ** (cr + sp) * data
+
+    return sum_chaos(A.d, terms())
 
 
 def moment(vectors, q: float) -> float:
@@ -273,10 +267,10 @@ def moment(vectors, q: float) -> float:
         return 1.0
     gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
     total = 0.0
-    for pairing in enumerate_pairings(IndexSet.range(n), n // 2):
-        term = q ** crossing_number(pairing)
-        for s, t in pairing.pairs:
-            term *= gram[s - 1, t - 1]
+    for pairs, cr, _ in pairing_table((0,) * n, ONE_CLASS, (), n // 2):
+        term = q ** cr
+        for s, t in pairs:
+            term *= gram[s, t]
         total += term
     return total
 

@@ -83,6 +83,19 @@ def test_computation_error_exit_code(capsys):
     assert doc["outputs"]["code"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["pairings", "--n", "-3"],
+    ["pairings", "--n", "4", "--k", "-1"],
+    ["moment", "--q", "nan", "--word", "abab"],
+    ["moment", "--q", "2", "--word", "abab"],
+])
+def test_bad_input_is_structured_error(argv, capsys):
+    code, doc, _ = _capture(capsys, argv)
+    assert code == 2
+    assert doc["status"] == "error"
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
 def test_multiply_with_input_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     f, g = rng.standard_normal(2), rng.standard_normal(2)

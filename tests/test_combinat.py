@@ -1,14 +1,16 @@
+import functools
 import itertools
-from math import comb
+from math import comb, perm
 
 import pytest
 
-from qfock.combinat import (CosetRep, IndexSet, Pairing, PartitionedSet,
-                            contraction_stats, coset_reps, crossing_number,
-                            double_factorial_odd, enumerate_interblock_pairings,
-                            enumerate_pairings, enumerate_restricted_pairings,
-                            interleave, intertwining_number, merge_pairings,
-                            mirror_double, relative_intertwining)
+from qfock.combinat import (ONE_CLASS, CosetRep, IndexSet, Pairing, PartitionedSet,
+                            across_classes, contraction_stats, coset_reps,
+                            crossing_number, double_factorial_odd,
+                            enumerate_interblock_pairings, enumerate_pairings,
+                            enumerate_restricted_pairings, interleave,
+                            intertwining_number, merge_pairings, mirror_double,
+                            pairing_table, relative_intertwining)
 from qfock.wickalg import norm_constants
 
 
@@ -54,6 +56,149 @@ def test_pairing_validation():
         Pairing(((1, 5),), ctx)
     with pytest.raises(ValueError):
         Pairing(((1, 2), (2, 3)), ctx)
+
+
+# -- the pairing engine against brute force ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _all_pairings(positions):
+    """Every partial pairing of ``positions``, in lexicographic order."""
+    def rec(rest):
+        if not rest:
+            yield ()
+            return
+        head, tail = rest[0], rest[1:]
+        yield from rec(tail)
+        for i, other in enumerate(tail):
+            for p in rec(tail[:i] + tail[i + 1:]):
+                yield ((head, other),) + p
+
+    return sorted(rec(positions))
+
+
+@functools.lru_cache(maxsize=None)
+def _stats(arcs, n):
+    """(cr, sp) by definition: interleaved arc pairs, and free positions inside arcs."""
+    covered = {x for arc in arcs for x in arc}
+    cr = sum(1 for (i, j), (k, l) in itertools.combinations(arcs, 2)
+             if i < k < j < l or k < i < l < j)
+    sp = sum(1 for s, t in arcs for x in range(n) if x not in covered and s < x < t)
+    return cr, sp
+
+
+def _reference_table(classes, allowed, fixed=()):
+    ok = set(allowed) | {(b, a) for a, b in allowed}
+    fixed_pos = {x for arc in fixed for x in arc}
+    open_pos = [i for i, c in enumerate(classes) if c is not None and i not in fixed_pos]
+    return [(pairs, *_stats(tuple(fixed) + pairs, len(classes)))
+            for pairs in _all_pairings(tuple(open_pos))
+            if all((classes[s], classes[t]) in ok for s, t in pairs)]
+
+
+def _check_table(classes, allowed, fixed=()):
+    table = pairing_table(tuple(classes), allowed, tuple(fixed))
+    forms = [pairs for pairs, _, _ in table]
+    assert forms == sorted(set(forms))
+    assert list(table) == _reference_table(classes, allowed, fixed)
+    return table
+
+
+def _compositions(n):
+    """Every way to cut ``0..n-1`` into consecutive nonempty blocks, as block sizes."""
+    for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield sizes + [size] if n else []
+
+
+def _involutions(n):
+    a, b = 1, 1
+    for j in range(1, n):
+        a, b = b, b + j * a
+    return b
+
+
+def test_engine_one_class_counts_order_and_stats():
+    for n in range(9):
+        table = _check_table((0,) * n, ONE_CLASS)
+        assert len(table) == _involutions(n)
+        for k in range(n // 2 + 2):
+            assert pairing_table((0,) * n, ONE_CLASS, (), k) == \
+                tuple(e for e in table if len(e[0]) == k)
+
+
+def test_engine_cross_counts():
+    for m in range(9):
+        for n in range(9 - m):
+            table = _check_table((0,) * m + (1,) * n, across_classes(2))
+            assert len(table) == sum(comb(m, k) * perm(n, k) for k in range(min(m, n) + 1))
+
+
+def test_engine_interblock_layouts():
+    for n in range(9):
+        for sizes in _compositions(n):
+            classes = [b for b, size in enumerate(sizes) for _ in range(size)]
+            _check_table(classes, across_classes(len(sizes)))
+
+
+def _restricted_layouts(n):
+    """Legs (class 0) and insert blocks (classes 1, 2, ...) in every order over n rows."""
+    def rec(prefix, last_insert):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        yield from rec(prefix + [0], last_insert)
+        if prefix and prefix[-1] == last_insert > 0:
+            yield from rec(prefix + [last_insert], last_insert)
+        yield from rec(prefix + [last_insert + 1], last_insert + 1)
+
+    return rec([], 0)
+
+
+def test_engine_restricted_layouts():
+    # every layout up to n = 7; at n = 8 those with at most two inserts, as in
+    # LILIL (all 1597 of them would take several seconds more)
+    for n in range(9):
+        for classes in _restricted_layouts(n):
+            n_inserts = max(classes, default=0)
+            if n < 8 or n_inserts <= 2:
+                _check_table(classes, across_classes(n_inserts + 1))
+
+
+def test_engine_restricted_layouts_with_contracted_legs():
+    # restricted_wick: legs that a prior pairing contracts keep their rows
+    for n in range(7):
+        for classes in _restricted_layouts(n):
+            legs = [i for i, c in enumerate(classes) if c == 0]
+            for pi in _all_pairings(tuple(legs)):
+                contracted = {x for arc in pi for x in arc}
+                layout = [None if i in contracted else c for i, c in enumerate(classes)]
+                _check_table(layout, across_classes(max(classes, default=0) + 1), pi)
+
+
+def test_engine_counterterm_layouts():
+    # counterterm_monomial: every leg fixed, inserts (class None) stay free
+    for n in range(8):
+        for inserts in itertools.product((False, True), repeat=n):
+            legs = tuple(i for i in range(n) if not inserts[i])
+            layout = [None] * n
+            for pi in _all_pairings(legs):
+                if 2 * len(pi) == len(legs):
+                    assert len(_check_table(layout, frozenset(), pi)) == 1
+
+
+def test_engine_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="nonnegative"):
+        pairing_table((0, 0), ONE_CLASS, (), -1)
+    with pytest.raises(ValueError, match="arc"):
+        pairing_table((None, None, 0), ONE_CLASS, ((0, 3),))
+    with pytest.raises(ValueError, match="arc"):
+        pairing_table((None, None, None), ONE_CLASS, ((0, 1), (1, 2)))
 
 
 # -- statistics -----------------------------------------------------------------

@@ -1,8 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
-from qfock import combinat
+import pytest
+
+import qfock
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(qfock.__path__, "qfock."))
 
 
-def test_combinat_doctests():
-    result = doctest.testmod(combinat)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0

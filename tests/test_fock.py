@@ -5,8 +5,8 @@ import pytest
 
 from conftest import Q_GRID, inverse_perm, random_tensor
 from qfock.combinat import coset_reps
-from qfock.fock import (FockTensor, FockVector, TruncationError, annihilation,
-                        creation, field_operator, identity_operator,
+from qfock.fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
+                        annihilation, creation, field_operator, identity_operator,
                         operator_norm, permute_factors, pq_apply, pq_matrix,
                         q_inner, wick_block_matrix, _shuffle_weighted_tensor)
 from qfock.wickalg import norm_constants
@@ -280,12 +280,19 @@ def test_q_block_norm_in_twisted_metric(rng):
             assert est <= C ** 1.5 * fq_norm + 1e-9
 
 
-# -- operator norm estimation ----------------------------------------------------------
+# -- operator norms ----------------------------------------------------------------------
 
 
 def test_operator_norm_identity():
     op = identity_operator(3, 4)
     assert operator_norm(op, range(5)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_operator_norm_exact_on_close_singular_values():
+    # two singular values 1e-4 apart: a stopping rule on the change of a
+    # power-iteration estimate stops early and under-reads the norm
+    op = TruncatedOperator(2, 1, {1: (1,)}, lambda k: {1: np.diag([1.0, 0.9999])})
+    assert operator_norm(op, [1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_operator_norm_free_creation_is_one(rng):

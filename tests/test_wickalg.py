@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import Q_GRID, random_element, random_tensor
-from qfock.combinat import PartitionedSet, enumerate_interblock_pairings, \
-    intertwining_number
+from qfock.combinat import (TABLE_CACHE_SIZE, PartitionedSet, enumerate_interblock_pairings,
+                            intertwining_number, pairing_table)
 from qfock.fock import FockVector, operator_norm
 from qfock.wickalg import (TruncationCutoffError, WickElement, delta_q,
                            expand_field_product, moment, multiply,
@@ -369,3 +369,21 @@ def test_wick_element_json_roundtrip(rng):
     A = random_element(rng, 3, 2)
     back = WickElement.from_json(A.to_json())
     assert back.allclose(A, 0)
+
+
+# -- the pairing-table cache -------------------------------------------------------------------
+
+
+def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
+    # runs after the symbolic tests (files are collected in name order)
+    info = pairing_table.cache_info()
+    assert info.maxsize == TABLE_CACHE_SIZE
+    assert info.currsize <= TABLE_CACHE_SIZE
+    multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
+    misses = pairing_table.cache_info().misses
+    for d, q in ((1, -0.9), (4, 0.0), (6, 0.7)):
+        multiply(random_element(rng, d, 3), random_element(rng, d, 3), q)
+    for d, q in ((2, 0.3), (128, -0.5)):
+        moment([rng.standard_normal(d) for _ in range(6)], q)
+    # other q and d on the same shapes: one new table, for the moment
+    assert pairing_table.cache_info().misses <= misses + 1
