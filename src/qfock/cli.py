@@ -41,7 +41,10 @@ def _resolve_seed(args) -> int:
 def _read_input(args) -> dict | None:
     if getattr(args, "input", None):
         with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"--input must hold a JSON object, got {type(doc).__name__}")
+        return doc
     return None
 
 

@@ -13,12 +13,12 @@ Labels are arbitrary naturals, not necessarily ``1..n``, so that sub-pairings
 keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
-One engine, ``pairing_table``, enumerates every pairing sum in the package.
-Each position of a row has a class (``None``: never pairs), and a set of
-class pairs says which may pair; all pairings are the one-class case,
-inter-block pairings have a class per block, restricted pairings a leg class
-that may not pair with itself and a class per insert block, and a product's
-cross pairings a left and a right class.  Fixed arcs count towards the
+One engine, ``pairing_table``, enumerates every pairing sum in the package
+(``wickalg.multiply`` factorises its sum and enumerates none).  Each position
+of a row has a class (``None``: never pairs), and a set of class pairs says
+which may pair; all pairings are the one-class case, inter-block pairings
+have a class per block, and restricted pairings a leg class that may not
+pair with itself and a class per insert block.  Fixed arcs count towards the
 statistics.  Tables are cached by shape alone (classes, allowed pairs, fixed
 arcs, ``k``; never q or the dimension), for at most ``TABLE_CACHE_SIZE``
 shapes.

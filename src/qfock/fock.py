@@ -11,6 +11,7 @@ a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,21 @@ class TruncationError(ValueError):
 # ---------------------------------------------------------------------------
 # graded tensors and vectors
 # ---------------------------------------------------------------------------
+
+
+def _is_index(x) -> bool:
+    """Whether a JSON value is a nonnegative integer."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_finite_number(x) -> bool:
+    """Whether a JSON value is a number that fits a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class FockTensor:
@@ -87,13 +103,33 @@ class FockTensor:
 
     @staticmethod
     def from_json(obj: dict) -> "FockTensor":
-        t = FockTensor.zeros(obj["d"], obj["degree"])
-        for entry in obj["coeffs"]:
-            word = tuple(entry["word"])
-            if obj["degree"] == 0:
-                t.data = np.asarray(float(entry["value"]))
-            else:
-                t.data[word] = float(entry["value"])
+        """Read the form ``to_json`` writes; a malformed one raises ValueError.
+
+        Each word must list ``degree`` basis indices in ``0..d-1`` and appear
+        once, and each value must be a finite number.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"a tensor must be a JSON object, got {type(obj).__name__}")
+        d, degree, coeffs = obj.get("d"), obj.get("degree"), obj.get("coeffs")
+        if not _is_index(d) or d < 1:
+            raise ValueError(f"tensor 'd' must be a positive integer, got {d!r}")
+        if not _is_index(degree):
+            raise ValueError(f"tensor 'degree' must be a nonnegative integer, got {degree!r}")
+        if not isinstance(coeffs, list) or not all(isinstance(e, dict) for e in coeffs):
+            raise ValueError("tensor 'coeffs' must be a list of objects")
+        t = FockTensor.zeros(d, degree)
+        seen = set()
+        for entry in coeffs:
+            word, value = entry.get("word"), entry.get("value")
+            if (not isinstance(word, list) or len(word) != degree
+                    or not all(_is_index(i) and i < d for i in word)):
+                raise ValueError(f"word {word!r} must list {degree} indices in 0..{d - 1}")
+            if tuple(word) in seen:
+                raise ValueError(f"word {word} appears twice")
+            seen.add(tuple(word))
+            if not _is_finite_number(value):
+                raise ValueError(f"value of word {word} must be a finite number, got {value!r}")
+            t.data[tuple(word)] = float(value)
         return t
 
     def __repr__(self) -> str:

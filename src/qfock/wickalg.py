@@ -1,19 +1,24 @@
 """The exact symbolic algebra of Wick expansions.
 
 An algebra element is stored as its (unique) graded family of chaos
-coefficients ``{k ↦ F_k}``; multiplication sums over cross pairings between
-the two leg sets weighted by ``q^crb``, moments follow the q-weighted pair
-partition rule, and the graded ℓ¹ norm with constants ``C_q, D_q`` makes the
-expansions a Banach algebra.  The matrix realisation on the truncated Fock
-space (``to_operator``) provides the independent oracle for all of it.
+coefficients ``{k ↦ F_k}``.  Multiplication sums over cross pairings between
+the two leg sets weighted by ``q^crb``; the weight factorises, so the pairings
+with k arcs add up to a single contraction of a left and a right tensor, the
+left one q-symmetrized over its k contracted legs.  Moments follow the
+q-weighted pair partition rule, and the graded ℓ¹ norm with constants
+``C_q, D_q`` makes the expansions a Banach algebra.  The matrix realisation on
+the truncated Fock space (``to_operator``) provides the independent oracle for
+all of it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .combinat import ONE_CLASS, across_classes, pairing_table
+from .combinat import ONE_CLASS, pairing_table
 from .fock import (FockTensor, TruncatedOperator, field_operator,
                    identity_operator, wick_block_matrix, zero_operator)
 
@@ -32,7 +37,9 @@ class NormConstants:
     tol: float
 
 
+@lru_cache(maxsize=64)
 def norm_constants(q: float, tol: float = 1e-15) -> NormConstants:
+    """The constants at q, memoised for the last 64 ``(q, tol)`` asked for."""
     if not -1.0 < q < 1.0:
         raise ValueError("norm constants require |q| < 1")
     a = abs(q)
@@ -137,6 +144,10 @@ class WickElement:
 
     @staticmethod
     def from_json(obj: dict) -> "WickElement":
+        if not (isinstance(obj, dict) and isinstance(obj.get("d"), int)
+                and isinstance(obj.get("chaos"), dict)):
+            raise ValueError("an element must be a JSON object with an integer 'd' "
+                             "and a 'chaos' object")
         chaos = {int(k): FockTensor.from_json(v) for k, v in obj["chaos"].items()}
         return WickElement(obj["d"], chaos)
 
@@ -229,30 +240,106 @@ def expand_field_product(fs, q: float) -> WickElement:
     return sum_chaos(len(fs[0]), terms())
 
 
+def _sum_moved(X: np.ndarray, moves) -> np.ndarray:
+    """``Σ w · transpose(X, axes)`` over the ``(w, axes)`` pairs given.
+
+    The sum is C-ordered, so ``tensordot`` reads it without a copy.
+    """
+    out = None
+    for w, axes in moves:
+        term = np.transpose(X, axes)
+        if out is None:
+            out = np.multiply(term, w, order="C")
+        else:
+            out += w * term
+    return out
+
+
+def _left_hat(F: np.ndarray, k: int, q: float) -> np.ndarray:
+    """The left factor of the k-arc term of a product.
+
+    Sums ``q^{sp_L(S)}`` times F with its axes ``S`` moved to the back in
+    reverse order, over the k-subsets ``S`` of F's axes, and q-symmetrizes the
+    last k axes of the sum.  ``sp_L(S)`` counts the pairs of a leg in ``S``
+    and a later leg outside ``S``.
+    """
+    m = F.ndim
+    if k == m == 1:
+        return F
+    moves = []
+    for S in itertools.combinations(range(m), k):
+        rest = [x for x in range(m) if x not in S]
+        moves.append((q ** sum(1 for s in S for x in rest if x > s),
+                      rest + list(reversed(S))))
+    return _q_symmetrize_tail(_sum_moved(F, moves), k, q)
+
+
+def _right_hat(G: np.ndarray, k: int, q: float) -> np.ndarray:
+    """The right factor of the k-arc term of a product.
+
+    Sums ``q^{sp_R(T)}`` times G with its axes ``T`` moved to the front in
+    order, over the k-subsets ``T`` of G's axes.  ``sp_R(T)`` counts the pairs
+    of a leg in ``T`` and an earlier leg outside ``T``.
+    """
+    n = G.ndim
+    if k == n:
+        return G
+    moves = []
+    for T in itertools.combinations(range(n), k):
+        rest = [x for x in range(n) if x not in T]
+        moves.append((q ** sum(1 for t in T for x in rest if x < t), list(T) + rest))
+    return _sum_moved(G, moves)
+
+
+def _q_symmetrize_tail(X: np.ndarray, k: int, q: float) -> np.ndarray:
+    """Apply ``P_q = Σ_σ q^{inv(σ)} U_σ`` to the last k axes of X.
+
+    Coset recursion: with ``P_q`` already applied to the last j-1 axes, the
+    last j are symmetrized by adding the ``q^i``-weighted moves of axis
+    ``-j`` to ``i`` places further back.
+    """
+    m = X.ndim
+    for j in range(2, k + 1):
+        first = m - j
+        acc = X.copy()
+        for i in range(1, j):
+            acc += q ** i * np.moveaxis(X, first, first + i)
+        X = acc
+    return X
+
+
 def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
     """Product of two Wick expansions.
 
-    Bilinear over chaos components: a degree-m and a degree-n component
-    multiply by summing over pairings that only join left legs to right legs,
-    with weight ``q^crb`` evaluated in the concatenated leg set, and the
-    corresponding tensor contraction of the coefficients.  Deterministic
-    summation order.
+    Bilinear over chaos components.  A degree-m and a degree-n component
+    multiply by summing over the cross pairings that join k left legs ``S``
+    to k right legs ``T``, each weighted by ``q^{cr+sp}`` and contracting the
+    coefficients along its arcs.  The weight factorises: ``cr`` is the number
+    of non-inversions of the bijection ``S → T``, and ``sp`` is
+    ``sp_L(S) + sp_R(T)``, the free left legs after each leg of ``S`` plus the
+    free right legs before each leg of ``T``.  So the k-arc terms sum to one
+    contraction of the last k axes of ``_left_hat`` with the first k axes of
+    ``_right_hat``; the reversal of ``S`` turns non-inversions into the
+    inversions that the q-symmetrizer ``P_q`` (Bożejko–Speicher) counts.
+    Each hat is built once per call.  Deterministic summation order.
     """
     if A.d != B.d:
         raise ValueError("dimension mismatch")
+    left: dict[tuple[int, int], np.ndarray] = {}
+    right: dict[tuple[int, int], np.ndarray] = {}
 
     def terms():
         for m in sorted(A.chaos):
             F = A.chaos[m].data
             for n in sorted(B.chaos):
                 G = B.chaos[n].data
-                for pairs, cr, sp in pairing_table((0,) * m + (1,) * n, across_classes(2)):
-                    if pairs:
-                        axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
-                        data = np.tensordot(F, G, axes=axes)
-                    else:
-                        data = np.multiply.outer(F, G)
-                    yield q ** (cr + sp) * data
+                yield np.multiply.outer(F, G)
+                for k in range(1, min(m, n) + 1):
+                    if (m, k) not in left:
+                        left[m, k] = _left_hat(F, k, q)
+                    if (n, k) not in right:
+                        right[n, k] = _right_hat(G, k, q)
+                    yield np.tensordot(left[m, k], right[n, k], k)
 
     return sum_chaos(A.d, terms())
 

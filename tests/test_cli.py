@@ -187,6 +187,29 @@ def test_norm_command(tmp_path, capsys):
     assert doc["outputs"]["operator_norm_estimate"] <= 2.0 + 1e-9
 
 
+def _chaos_one(coeffs):
+    return {"d": 2, "chaos": {"1": {"d": 2, "degree": 1, "coeffs": coeffs}}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"element": _chaos_one([{"word": [-1], "value": 1.0}])},
+    {"element": _chaos_one([{"word": [2], "value": 1.0}])},
+    {"element": _chaos_one([{"word": [0, 1], "value": 1.0}])},
+    {"element": _chaos_one([{"word": [1], "value": 1.0}, {"word": [1], "value": 2.0}])},
+    {"element": {"d": 2, "chaos": {"1": [1.0, 2.0]}}},
+    {"element": [1.0, 2.0]},
+    [1.0, 2.0],
+])
+def test_norm_bad_tensor_is_structured_error(doc, tmp_path, capsys):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _capture(capsys, ["norm", "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert out["status"] == "error"
+    assert set(out["outputs"]) == {"code", "message"}
+    assert out["outputs"]["code"] == "ValueError"
+
+
 def test_levy_and_delta_r_commands(tmp_path, capsys):
     code, doc, _ = _capture(capsys, ["levy", "--q", "0.5", "--s", "0.0",
                                      "--t", "1.0", "--cells", "4",

@@ -361,3 +361,37 @@ def test_tensor_json_roundtrip(rng):
     assert np.allclose(back.data, F.data)
     scalar = FockTensor.scalar(2, -1.5)
     assert FockTensor.from_json(scalar.to_json()).data == pytest.approx(-1.5)
+
+
+def _tensor_doc(coeffs, d=2, degree=1):
+    return {"d": d, "degree": degree, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize("doc,match", [
+    (_tensor_doc([{"word": [-1], "value": 1.0}]), "indices in 0..1"),
+    (_tensor_doc([{"word": [2], "value": 1.0}]), "indices in 0..1"),
+    (_tensor_doc([{"word": [1], "value": 1.0}], degree=2), "must list 2 indices"),
+    (_tensor_doc([{"word": [0, 1], "value": 1.0}]), "must list 1 indices"),
+    (_tensor_doc([{"word": [1], "value": 1.0}, {"word": [1], "value": 2.0}]),
+     "appears twice"),
+    (_tensor_doc([{"word": [1], "value": None}]), "finite number"),
+    (_tensor_doc([{"word": [1], "value": float("inf")}]), "finite number"),
+    (_tensor_doc([{"word": [1], "value": 10 ** 400}]), "finite number"),
+    (_tensor_doc([{"word": [1], "value": True}]), "finite number"),
+    (_tensor_doc([1.0]), "list of objects"),
+    (_tensor_doc([], d=0), "positive integer"),
+    (_tensor_doc([], degree=-1), "nonnegative integer"),
+    ([{"word": [0], "value": 1.0}], "JSON object"),
+    ("tensor", "JSON object"),
+])
+def test_tensor_from_json_rejects_malformed(doc, match):
+    with pytest.raises(ValueError, match=match):
+        FockTensor.from_json(doc)
+
+
+def test_tensor_from_json_accepts_every_valid_word():
+    coeffs = [{"word": [i, j], "value": float(3 * i + j + 1)}
+              for i in range(3) for j in range(3)]
+    F = FockTensor.from_json(_tensor_doc(coeffs, d=3, degree=2))
+    assert np.array_equal(F.data, np.arange(1.0, 10.0).reshape(3, 3))
+    assert F.to_json() == _tensor_doc(coeffs, d=3, degree=2)

@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import Q_GRID, random_element, random_tensor
-from qfock.combinat import (TABLE_CACHE_SIZE, PartitionedSet, enumerate_interblock_pairings,
-                            intertwining_number, pairing_table)
+from qfock.combinat import (TABLE_CACHE_SIZE, Pairing, PartitionedSet, across_classes,
+                            enumerate_interblock_pairings, intertwining_number,
+                            pairing_table)
 from qfock.fock import FockVector, operator_norm
+from qfock.polywick import InsertionPattern, restricted_wick
 from qfock.wickalg import (TruncationCutoffError, WickElement, delta_q,
                            expand_field_product, moment, multiply,
-                           norm_constants, to_operator, triple_norm,
+                           norm_constants, sum_chaos, to_operator, triple_norm,
                            vacuum_expectation, wick_product_recursive_operator,
                            wick_product_vectors)
 
@@ -31,6 +35,13 @@ def test_norm_constants_half():
     assert nc.C == pytest.approx(3.46275, rel=1e-5)
     assert norm_constants(-0.5).C == nc.C
     assert nc.D == 2.0
+
+
+def test_norm_constants_memoised_and_bounded():
+    for q in (-0.9, -0.5, 0.0, 0.5, 0.9, 0.99):
+        assert norm_constants(q) == norm_constants.__wrapped__(q)
+        assert norm_constants(q) is norm_constants(q)
+    assert 0 < norm_constants.cache_info().maxsize <= 64
 
 
 def test_norm_constants_reject_boundary():
@@ -164,6 +175,57 @@ def test_multiply_support_independent_of_q(rng):
     B = random_element(rng, 2, 2)
     supports = {multiply(A, B, q).support(1e-13) for q in Q_GRID}
     assert len(supports) == 1
+
+
+def pairing_sum_product(A, B, q):
+    """The product as a sum over cross pairings, one contraction per pairing."""
+    def terms():
+        for m in sorted(A.chaos):
+            F = A.chaos[m].data
+            for n in sorted(B.chaos):
+                G = B.chaos[n].data
+                for pairs, cr, sp in pairing_table((0,) * m + (1,) * n, across_classes(2)):
+                    if pairs:
+                        axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
+                        data = np.tensordot(F, G, axes=axes)
+                    else:
+                        data = np.multiply.outer(F, G)
+                    yield q ** (cr + sp) * data
+
+    return sum_chaos(A.d, terms())
+
+
+@pytest.mark.parametrize("q", (-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0))
+def test_multiply_matches_pairing_sum(q, rng):
+    for d in (1, 2, 3):
+        for m in range(5):
+            for n in range(5):
+                A = WickElement.from_tensor(random_tensor(rng, d, m))
+                B = WickElement.from_tensor(random_tensor(rng, d, n))
+                ref = pairing_sum_product(A, B, q)
+                gap = (multiply(A, B, q) - ref).max_abs_coeff()
+                assert gap <= 1e-14 * ref.max_abs_coeff(), (d, m, n)
+        A, B = random_element(rng, d, 3), random_element(rng, d, 3)
+        ref = pairing_sum_product(A, B, q)
+        assert (multiply(A, B, q) - ref).max_abs_coeff() <= 1e-14 * ref.max_abs_coeff()
+
+
+def test_cross_pairing_statistics_factorise():
+    # cr counts the non-inversions of the arcs' bijection S -> T; sp splits
+    # into free left legs after each s in S and free right legs before each t
+    # in T
+    for m in range(5):
+        for n in range(5):
+            for pairs, cr, sp in pairing_table((0,) * m + (1,) * n, across_classes(2)):
+                S = [s for s, _ in pairs]
+                T = [t - m for _, t in pairs]
+                free_left = [x for x in range(m) if x not in S]
+                free_right = [x for x in range(n) if x not in T]
+                assert S == sorted(S)
+                assert cr == sum(1 for i, j in itertools.combinations(range(len(T)), 2)
+                                 if T[i] < T[j])
+                assert sp == (sum(1 for s in S for x in free_left if x > s)
+                              + sum(1 for t in T for x in free_right if x < t))
 
 
 def test_multiply_matches_matrix_oracle(rng):
@@ -379,11 +441,22 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
     info = pairing_table.cache_info()
     assert info.maxsize == TABLE_CACHE_SIZE
     assert info.currsize <= TABLE_CACHE_SIZE
-    multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
-    misses = pairing_table.cache_info().misses
-    for d, q in ((1, -0.9), (4, 0.0), (6, 0.7)):
-        multiply(random_element(rng, d, 3), random_element(rng, d, 3), q)
-    for d, q in ((2, 0.3), (128, -0.5)):
+    pattern = InsertionPattern.from_string("LILIL")
+
+    def read_tables(d, q):
+        expand_field_product([rng.standard_normal(d) for _ in range(5)], q)
         moment([rng.standard_normal(d) for _ in range(6)], q)
-    # other q and d on the same shapes: one new table, for the moment
-    assert pairing_table.cache_info().misses <= misses + 1
+        restricted_wick(pattern, Pairing.empty(pattern.leg_context()),
+                        random_tensor(rng, d, 3),
+                        [random_tensor(rng, d, 2), random_tensor(rng, d, 1)], q)
+
+    read_tables(2, 0.5)
+    misses = pairing_table.cache_info().misses
+    # other q and d on the same shapes: no new table
+    for d, q in ((1, -0.9), (3, -0.5), (4, 0.0), (6, 0.7)):
+        read_tables(d, q)
+    after = pairing_table.cache_info()
+    assert after.misses == misses
+    # the product reads no table at all
+    multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
+    assert pairing_table.cache_info() == after
