@@ -6,7 +6,7 @@ from .combinat import (CosetRep, IndexSet, Pairing, PartitionedSet,
                        relative_intertwining)
 from .fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
                    annihilation, creation, field_operator, operator_norm,
-                   pq_matrix, q_inner, wick_block_matrix)
+                   pq_matrix, q_inner, wick_block_matrix, wick_operator)
 from .polywick import (DeltaPolynomial, InsertionPattern, counterterm_monomial,
                        counterterm_polynomial, delta_R, disentangle_check,
                        quartic_2d_configs, quartic_3d_configs, restricted_wick)

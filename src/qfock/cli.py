@@ -20,6 +20,7 @@ import numpy as np
 from . import combinat, fock, jsonio, polywick, qsde, verify, wickalg
 
 DEFAULT_SEED = 12345
+MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor wick-expand builds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +96,13 @@ def _cmd_wick_expand(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'vectors': [...]} required")
-    vectors = [np.asarray(v, dtype=float) for v in doc["vectors"]]
+    vectors = doc["vectors"]
+    if not (isinstance(vectors, list) and vectors and all(
+            isinstance(v, list) and len(v) == len(vectors[0]) > 0
+            and all(fock.is_finite_number(x) for x in v) for v in vectors)):
+        raise ValueError("'vectors' must be a nonempty list of equal-length lists of numbers")
+    if len(vectors[0]) ** len(vectors) > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
     return {"element": wickalg.expand_field_product(vectors, args.q).to_json()}
 
 
@@ -128,9 +135,12 @@ def _cmd_delta_r(args, _seed):
         raise ValueError("--input document required")
     pattern = polywick.InsertionPattern.from_json(doc["pattern"])
     F = fock.FockTensor.from_json(doc["f"])
-    pi = combinat.Pairing(tuple(tuple(p) for p in doc.get("pi", [])),
-                          pattern.leg_context())
-    As = [wickalg.WickElement.from_json(a) for a in doc["operators"]]
+    pi, operators = doc.get("pi", []), doc["operators"]
+    if not isinstance(operators, list) or not isinstance(pi, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p) for p in pi):
+        raise ValueError("'pi' must be a list of [s, t] index pairs and 'operators' a list")
+    pi = combinat.Pairing(tuple(tuple(p) for p in pi), pattern.leg_context())
+    As = [wickalg.WickElement.from_json(a) for a in operators]
     return {"element": polywick.delta_R(pattern, pi, F, As, args.q).to_json()}
 
 
@@ -332,7 +342,7 @@ def run(argv) -> int:
             exit_code = 2
         # rendering raises on a non-finite result, which is reported like any error
         text = _document(args, outputs, status, start)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         text = _document(args, {"code": type(exc).__name__, "message": str(exc)}, "error", start)
         exit_code = 2
     sys.stdout.write(text)

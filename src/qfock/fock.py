@@ -6,7 +6,8 @@ Everything acts on the truncated Fock space ``⊕_{k<=N} H^{⊗k}`` over a real
 they are *exact* (no intermediate result ever leaves the truncation); applying
 an operator outside its exact range raises ``TruncationError`` instead of
 silently truncating.  Sector blocks are materialised lazily and cached, since
-a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.
+a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  All Wick
+blocks of an element come from one pass of a stacked annihilation per sector.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _is_finite_number(x) -> bool:
+def is_finite_number(x) -> bool:
     """Whether a JSON value is a number that fits a finite float."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
@@ -127,7 +128,7 @@ class FockTensor:
             if tuple(word) in seen:
                 raise ValueError(f"word {word} appears twice")
             seen.add(tuple(word))
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ValueError(f"value of word {word} must be a finite number, got {value!r}")
             t.data[tuple(word)] = float(value)
         return t
@@ -166,12 +167,6 @@ class FockVector:
     def scale(self, c: float) -> "FockVector":
         return FockVector(self.d, {k: c * v for k, v in self.sectors.items()})
 
-    def f0_inner(self, other: "FockVector") -> float:
-        tot = 0.0
-        for k in sorted(set(self.sectors) & set(other.sectors)):
-            tot += float(np.vdot(self.sectors[k], other.sectors[k]))
-        return tot
-
     def fq_inner(self, other: "FockVector", q: float) -> float:
         tot = 0.0
         for k in sorted(set(self.sectors) & set(other.sectors)):
@@ -182,11 +177,6 @@ class FockVector:
 # ---------------------------------------------------------------------------
 # the q-symmetrizer
 # ---------------------------------------------------------------------------
-
-
-def _inversions(perm) -> int:
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[j] < perm[i])
 
 
 def permute_factors(tensor: np.ndarray, perm) -> np.ndarray:
@@ -295,11 +285,6 @@ class TruncatedOperator:
 
     # -- algebra ------------------------------------------------------------
 
-    def _binary_outmap(self, other: "TruncatedOperator") -> dict[int, tuple[int, ...]]:
-        common = self.exact_sectors & other.exact_sectors
-        return {k: tuple(sorted(set(self.out_map[k]) | set(other.out_map[k])))
-                for k in sorted(common)}
-
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
@@ -312,8 +297,9 @@ class TruncatedOperator:
                     out[k_out] = out.get(k_out, 0.0) + mat
             return out
 
-        return TruncatedOperator(self.d, min(self.cutoff, other.cutoff),
-                                 self._binary_outmap(other), maker)
+        out_map = {k: tuple(sorted(set(a.out_map[k]) | set(b.out_map[k])))
+                   for k in sorted(a.exact_sectors & b.exact_sectors)}
+        return TruncatedOperator(self.d, min(self.cutoff, other.cutoff), out_map, maker)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return self + other.scale(-1.0)
@@ -380,11 +366,6 @@ class TruncatedOperator:
 # ---------------------------------------------------------------------------
 
 
-def zero_operator(d: int, cutoff: int) -> TruncatedOperator:
-    out_map = {k: () for k in range(cutoff + 1)}
-    return TruncatedOperator(d, cutoff, out_map, lambda k: {})
-
-
 def identity_operator(d: int, cutoff: int, scalar: float = 1.0) -> TruncatedOperator:
     out_map = {k: (k,) for k in range(cutoff + 1)}
 
@@ -441,29 +422,6 @@ def field_operator(f, q: float, cutoff: int) -> TruncatedOperator:
     return creation(f, cutoff) + annihilation(f, q, cutoff)
 
 
-# Cache of annihilation-word matrices for basis letters, keyed by
-# (d, q, input sector, letter word).  Entries are small and reused heavily
-# when assembling Wick blocks.
-_ANN_WORD_CACHE: dict = {}
-
-
-def _ann_word_matrix(d: int, q: float, m: int, word: tuple[int, ...]) -> np.ndarray:
-    key = (d, float(q), m, word)
-    cached = _ANN_WORD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    b = len(word)
-    mat = np.eye(d ** m)
-    # rightmost annihilation acts first: letters applied in reverse order
-    for j in range(b, 0, -1):
-        sector = m - (b - j)
-        e = np.zeros(d)
-        e[word[j - 1]] = 1.0
-        mat = _annihilation_block(e, q, sector) @ mat
-    _ANN_WORD_CACHE[key] = mat
-    return mat
-
-
 def _shuffle_weighted_tensor(F: np.ndarray, a: int, q: float) -> np.ndarray:
     """Sum of axis-splits of F into ``a`` creation and ``n-a`` annihilation slots.
 
@@ -480,42 +438,76 @@ def _shuffle_weighted_tensor(F: np.ndarray, a: int, q: float) -> np.ndarray:
     return out
 
 
+def _annihilate(T: np.ndarray, d: int, r: int, q: float) -> np.ndarray:
+    """All basis annihilations at once: ``(d^L, d^r, batch) -> (d^{L+1}, d^{r-1}, batch)``.
+
+    Sums ``q^p`` times T with axis p of its degree-r tensor moved to the front
+    of the L letters, as the new letter acts after them.  Uses 5-axis views
+    only, so no degree meets numpy's limit on the number of axes.
+    """
+    L, _, batch = T.shape
+    out = np.zeros((d, L, d ** (r - 1), batch))
+    for p in range(r if q else 1):
+        shape = (d ** p, d ** (r - p - 1), batch)
+        view = T.reshape(L, shape[0], d, *shape[1:]).transpose(2, 0, 1, 3, 4)
+        out.reshape(d, L, *shape)[...] += q ** p * view
+    return out.reshape(d * L, d ** (r - 1), batch)
+
+
+def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
+    """One operator, with one maker, for the Wick terms ``(F, ell)`` summed.
+
+    A term makes ``k = deg F - ell`` creations after ``ell`` annihilations;
+    input sector m is exact if every term with ``ell <= m`` stays within the
+    cutoff.  The maker applies ``_annihilate`` to the batch ``eye(d^m)`` and,
+    after step ``ell``, adds ``hat @ T_ell`` to sector ``m + k - ell``, with
+    ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor, built once if used.
+    """
+    out_map: dict[int, tuple[int, ...]] = {}
+    for m in range(cutoff + 1):
+        outs = {m + F.ndim - 2 * ell for F, ell in terms if ell <= m}
+        if all(k_out <= cutoff for k_out in outs):
+            out_map[m] = tuple(sorted(outs))
+    by_ell: dict[int, list] = {}
+    for F, ell in terms:
+        if ell <= max(out_map, default=-1):
+            hat = _shuffle_weighted_tensor(F, F.ndim - ell, q)
+            by_ell.setdefault(ell, []).append((F.ndim - ell, hat.reshape(-1, d ** ell)))
+
+    def maker(m):
+        out = dict.fromkeys(m + F.ndim - 2 * ell for F, ell in terms if ell <= m)
+        T = np.eye(d ** m).reshape(1, d ** m, d ** m)
+        for ell in range(min(m, max(by_ell, default=0)) + 1):
+            T = _annihilate(T, d, m - ell + 1, q) if ell else T
+            for k, hat in by_ell.get(ell, ()):
+                blk = (hat @ T.reshape(d ** ell, -1)).reshape(-1, d ** m)
+                out[m + k - ell] = blk if out[m + k - ell] is None else out[m + k - ell] + blk
+        return out
+
+    return TruncatedOperator(d, cutoff, out_map, maker)
+
+
+def wick_operator(d: int, tensors: dict, q: float, cutoff: int) -> TruncatedOperator:
+    """``Σ_n W(F_n)`` for chaos coefficients ``{n: F_n}``, as one operator.
+
+    Chaos n gives the Wick blocks ``ell = 0..n``; chaos 0 is a scalar times
+    the identity.  Each input sector is assembled in one annihilation pass.
+    """
+    terms = [(np.asarray(F, dtype=float), ell)
+             for n, F in sorted(tensors.items()) for ell in range(n + 1)]
+    return _wick_assembly(d, terms, q, cutoff)
+
+
 def wick_block_matrix(k: int, ell: int, F: FockTensor, q: float, cutoff: int) -> TruncatedOperator:
     """The Wick block creating ``k`` and annihilating ``ell`` particles from F.
 
-    Realises the shuffle-weighted sum of operator words
-    ``α†(·)…α†(·) α_q(·)…α_q(·)`` fed by the slots of the degree-(k+ell)
-    tensor F.  Annihilates every sector below ``ell``; shifts degree by
-    ``k - ell`` elsewhere.
+    The shuffle-weighted sum of words ``α†(·)…α†(·) α_q(·)…α_q(·)`` fed by the
+    slots of the degree-(k+ell) tensor F, built as the one term of ``wick_operator``.
+    Kills every sector below ``ell``; elsewhere shifts the degree by ``k - ell``.
     """
     if F.degree != k + ell:
         raise ValueError(f"tensor degree {F.degree} != k+ell = {k + ell}")
-    d = F.d
-    if k + ell == 0:
-        return identity_operator(d, cutoff, scalar=float(F.data))
-    hat = _shuffle_weighted_tensor(F.data, k, q)
-    out_map: dict[int, tuple[int, ...]] = {}
-    for m in range(cutoff + 1):
-        if m < ell:
-            out_map[m] = ()
-        elif m - ell + k <= cutoff:
-            out_map[m] = (m - ell + k,)
-
-    def maker(m):
-        if m < ell:
-            return {}
-        rest = m - ell
-        blk = np.zeros((d ** (k + rest), d ** m))
-        for word in itertools.product(range(d), repeat=ell):
-            c = hat[(slice(None),) * k + word] if k > 0 else hat[word]
-            c_col = np.asarray(c, dtype=float).reshape(-1, 1)
-            if not np.any(c_col):
-                continue
-            ann = _ann_word_matrix(d, q, m, word)
-            blk += np.kron(c_col, np.eye(d ** rest)) @ ann
-        return {k + rest: blk}
-
-    return TruncatedOperator(d, cutoff, out_map, maker)
+    return _wick_assembly(F.d, [(F.data, ell)], q, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,11 @@ class InsertionPattern:
 
     @staticmethod
     def from_json(obj: dict) -> "InsertionPattern":
-        return InsertionPattern(tuple(e["type"] for e in obj["slots"]))
+        """Read the form ``to_json`` writes; a malformed one raises ValueError."""
+        slots = obj.get("slots") if isinstance(obj, dict) else None
+        if not isinstance(slots, list) or not all(isinstance(e, dict) for e in slots):
+            raise ValueError("a pattern must be an object whose 'slots' is a list of objects")
+        return InsertionPattern(tuple(e.get("type") for e in slots))
 
     def __repr__(self) -> str:
         return "InsertionPattern(%s)" % "".join("L" if s == LEG else "I" for s in self.slots)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .combinat import ONE_CLASS, pairing_table
 from .fock import (FockTensor, TruncatedOperator, field_operator,
-                   identity_operator, wick_block_matrix, zero_operator)
+                   identity_operator, wick_operator)
 
 
 @dataclass(frozen=True)
@@ -384,20 +384,14 @@ def triple_norm(A: WickElement, q: float) -> float:
 
 
 def to_operator(A: WickElement, q: float, cutoff: int) -> TruncatedOperator:
-    """Matrix realisation via Wick blocks on the truncated Fock space.
+    """Matrix realisation on the truncated Fock space, by ``fock.wick_operator``.
 
-    Exactness on the vacuum requires ``cutoff >= max chaos degree``; applied
-    to the vacuum, the operator reproduces the chaos coefficients exactly.
+    Every Wick block of every chaos comes from one assembly pass per input
+    sector.  Exactness on the vacuum requires ``cutoff >= max chaos degree``;
+    applied to the vacuum, the operator reproduces the chaos coefficients
+    exactly.
     """
     if A.max_degree() > cutoff:
         raise TruncationCutoffError(
             f"cutoff {cutoff} too small for chaos degree {A.max_degree()}")
-    op = zero_operator(A.d, cutoff)
-    for n in sorted(A.chaos):
-        F = A.chaos[n]
-        if n == 0:
-            op = op + identity_operator(A.d, cutoff, scalar=float(F.data))
-            continue
-        for ell in range(n + 1):
-            op = op + wick_block_matrix(n - ell, ell, F, q, cutoff)
-    return op
+    return wick_operator(A.d, {n: F.data for n, F in A.chaos.items()}, q, cutoff)

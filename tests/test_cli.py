@@ -1,12 +1,13 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfock import jsonio
-from qfock.cli import run
+from qfock import jsonio, wickalg
+from qfock.cli import MAX_TENSOR_ENTRIES, run
 from qfock.wickalg import WickElement, expand_field_product
 
 GOLDEN = Path(__file__).parent / "data"
@@ -123,6 +124,50 @@ def test_wick_expand_command(tmp_path, capsys):
     assert el.coeff(0).data == pytest.approx(1.0)
 
 
+def test_wick_expand_refuses_a_huge_tensor_before_building_it(tmp_path, capsys):
+    # 3 vectors at d = 2048 ask for 2048^3 entries (64 GiB); the first pair
+    # product alone would be 32 MiB
+    d = 2048
+    assert d ** 3 > MAX_TENSOR_ENTRIES
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"vectors": [[1.0] * d] * 3}))
+    tracemalloc.start()
+    try:
+        code, doc, _ = _capture(capsys, ["wick-expand", "--q", "0.5", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert doc["outputs"]["code"] == "ValueError"
+    assert set(doc["outputs"]) == {"code", "message"}
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("vectors", [
+    5, [], [1.0, 2.0], {"0": [1.0]}, [[1.0], "ab"], [[], []], [[1.0], [1.0, 2.0]],
+    [[[1.0]], [[2.0]]], [[None, 1.0]], [["1", 2.0]], [[True, 1.0]],
+])
+def test_wick_expand_bad_vectors_are_structured_errors(vectors, tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"vectors": vectors}))
+    code, doc, _ = _capture(capsys, ["wick-expand", "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
+def test_memory_error_is_structured_error(monkeypatch, tmp_path, capsys):
+    def out_of_memory(*_):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(wickalg, "expand_field_product", out_of_memory)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"vectors": [[1.0, 0.0], [0.0, 1.0]]}))
+    code, doc, _ = _capture(capsys, ["wick-expand", "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["outputs"] == {"code": "MemoryError", "message": "Unable to allocate 64.0 GiB"}
+
+
 def test_counterterm_families(capsys):
     code, doc, _ = _capture(capsys, ["counterterm", "--family", "quartic2d"])
     assert code == 0
@@ -210,16 +255,9 @@ def test_norm_bad_tensor_is_structured_error(doc, tmp_path, capsys):
     assert out["outputs"]["code"] == "ValueError"
 
 
-def test_levy_and_delta_r_commands(tmp_path, capsys):
-    code, doc, _ = _capture(capsys, ["levy", "--q", "0.5", "--s", "0.0",
-                                     "--t", "1.0", "--cells", "4",
-                                     "--side", "L", "--diag-weight", "0.5"])
-    assert code == 0
-    el = WickElement.from_json(doc["outputs"]["element"])
-    assert el.support() == (2,)
-
+def _delta_r_doc(**changes):
     d = 2
-    doc_in = {
+    doc = {
         "pattern": {"slots": [{"type": "leg"}, {"type": "insert"}, {"type": "leg"}]},
         "pi": [],
         "f": {"d": d, "degree": 2, "coeffs": [{"word": [0, 1], "value": 1.0}]},
@@ -232,9 +270,45 @@ def test_levy_and_delta_r_commands(tmp_path, capsys):
                                      "coeffs": [{"word": [], "value": 1.0}]}}},
         ],
     }
+    return {**doc, **changes}
+
+
+def test_levy_and_delta_r_commands(tmp_path, capsys):
+    code, doc, _ = _capture(capsys, ["levy", "--q", "0.5", "--s", "0.0",
+                                     "--t", "1.0", "--cells", "4",
+                                     "--side", "L", "--diag-weight", "0.5"])
+    assert code == 0
+    el = WickElement.from_json(doc["outputs"]["element"])
+    assert el.support() == (2,)
+
     path = tmp_path / "dr.json"
-    path.write_text(json.dumps(doc_in))
+    path.write_text(json.dumps(_delta_r_doc()))
     code, doc, _ = _capture(capsys, ["delta-r", "--q", "0.5", "--input", str(path)])
     assert code == 0
     out = WickElement.from_json(doc["outputs"]["element"])
     assert 3 in out.support()
+
+
+@pytest.mark.parametrize("changes", [
+    {"pattern": [1]},
+    {"pattern": {"slots": 5}},
+    {"pattern": {"slots": [{"type": "leg"}, 7]}},
+    {"pattern": {"slots": [{"type": "bogus"}]}},
+    {"pi": 5},
+    {"pi": [1, 3]},
+    {"pi": [[1, 3, 2]]},
+    {"pi": [[1.0, 3.0]]},
+    {"pi": [["a", "b"]]},
+    {"pi": [[True, 3]]},
+    {"pi": [[-1, 3]]},
+    {"operators": {"0": {}}},
+    {"operators": 3},
+])
+def test_delta_r_bad_input_is_structured_error(changes, tmp_path, capsys):
+    path = tmp_path / "dr.json"
+    path.write_text(json.dumps(_delta_r_doc(**changes)))
+    code, doc, _ = _capture(capsys, ["delta-r", "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert set(doc["outputs"]) == {"code", "message"}
+    assert doc["outputs"]["code"] == "ValueError"

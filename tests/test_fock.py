@@ -1,15 +1,18 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import Q_GRID, inverse_perm, random_tensor
+import qfock.fock
+from conftest import Q_GRID, inverse_perm, random_element, random_tensor
 from qfock.combinat import coset_reps
 from qfock.fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
                         annihilation, creation, field_operator, identity_operator,
                         operator_norm, permute_factors, pq_apply, pq_matrix,
                         q_inner, wick_block_matrix, _shuffle_weighted_tensor)
-from qfock.wickalg import norm_constants
+from qfock.wickalg import norm_constants, to_operator
 
 
 # -- the q-symmetrizer ----------------------------------------------------------
@@ -278,6 +281,102 @@ def test_q_block_norm_in_twisted_metric(rng):
             est = operator_norm(op, sectors, metric="fq", q=q)
             fq_norm = np.sqrt(max(q_inner(F, F, q), 0.0))
             assert est <= C ** 1.5 * fq_norm + 1e-9
+
+
+# -- one-pass Wick assembly against the per-word reference -------------------------
+#
+# The reference assembles one Wick block per TruncatedOperator, one
+# annihilation word at a time: a kron of the word's shuffle-weighted
+# coefficients with the identity, times the word's matrix from ``annihilation``.
+# An element is the sum of such operators.  It shares no code with the
+# stacked-annihilation maker, so it checks that maker independently.
+
+ASSEMBLY_Q = (-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
+
+
+def _reference_word_matrix(d, q, m, word):
+    """``α(e_{w_1})…α(e_{w_b})`` on sector m; the rightmost letter acts first."""
+    mat = np.eye(d ** m)
+    for sector, letter in zip(range(m, 0, -1), reversed(word)):
+        mat = annihilation(np.eye(d)[letter], q, sector).block(sector)[sector - 1] @ mat
+    return mat
+
+
+def reference_wick_block(k, ell, F, q, cutoff):
+    d = F.d
+    hat = _shuffle_weighted_tensor(F.data, k, q)
+    out_map = {m: (() if m < ell else (m - ell + k,))
+               for m in range(cutoff + 1) if m < ell or m - ell + k <= cutoff}
+
+    def maker(m):
+        if m < ell:
+            return {}
+        rest = m - ell
+        blk = np.zeros((d ** (k + rest), d ** m))
+        for word in itertools.product(range(d), repeat=ell):
+            c_col = np.reshape(hat[(slice(None),) * k + word], (-1, 1))
+            blk += np.kron(c_col, np.eye(d ** rest)) @ _reference_word_matrix(d, q, m, word)
+        return {k + rest: blk}
+
+    return TruncatedOperator(d, cutoff, out_map, maker)
+
+
+def reference_to_operator(A, q, cutoff):
+    op = TruncatedOperator(A.d, cutoff, {m: () for m in range(cutoff + 1)}, lambda m: {})
+    for n, F in sorted(A.chaos.items()):
+        for ell in range(n + 1):
+            op = op + reference_wick_block(n - ell, ell, F, q, cutoff)
+    return op
+
+
+def _assert_same_operator(op, ref):
+    assert list(op.out_map.items()) == list(ref.out_map.items())
+    for m in ref.out_map:
+        got, want = op.block(m), ref.block(m)
+        assert list(got) == list(want)
+        for k_out, blk in want.items():
+            assert got[k_out].shape == blk.shape
+            assert np.max(np.abs(got[k_out] - blk), initial=0.0) <= \
+                1e-14 * np.max(np.abs(blk), initial=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_to_operator_matches_per_word_reference(d, rng):
+    for chaos, q in itertools.product(range(5), ASSEMBLY_Q):
+        A = random_element(rng, d, chaos)
+        cutoff = chaos + (2 if d == 3 else 3)
+        _assert_same_operator(to_operator(A, q, cutoff), reference_to_operator(A, q, cutoff))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_wick_block_matrix_matches_per_word_reference(d, rng):
+    for n, q in itertools.product(range(5), ASSEMBLY_Q):
+        for ell in range(n + 1):
+            F = random_tensor(rng, d, n)
+            cutoff = n + (1 if d == 3 else 3)
+            _assert_same_operator(wick_block_matrix(n - ell, ell, F, q, cutoff),
+                                  reference_wick_block(n - ell, ell, F, q, cutoff))
+
+
+def test_assembly_handles_more_sectors_than_numpy_axes(rng):
+    # a (d,)*m array has m axes, and numpy allows at most 64
+    A = random_element(rng, 1, 2)
+    for q in (0.0, -0.9):
+        _assert_same_operator(to_operator(A, q, 70), reference_to_operator(A, q, 70))
+
+
+def test_matrix_route_imports_no_symbolic_module():
+    tree = ast.parse(Path(qfock.fock.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"wickalg", "combinat", "polywick"}
+    assert not hasattr(qfock.fock, "_ANN_WORD_CACHE")
 
 
 # -- operator norms ----------------------------------------------------------------------

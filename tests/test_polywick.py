@@ -36,6 +36,23 @@ def test_pattern_validation():
         InsertionPattern(("leg", "bogus"))
 
 
+@pytest.mark.parametrize("doc", [
+    [1],
+    "LIL",
+    {},
+    {"slots": 5},
+    {"slots": [1, 2]},
+    {"slots": [{"type": "leg"}, ["insert"]]},
+    {"slots": [{"type": "leg"}, {"kind": "insert"}]},
+    {"slots": [{"type": "bogus"}]},
+    {"slots": [{"type": ["leg"]}]},
+    {"slots": []},
+])
+def test_pattern_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        InsertionPattern.from_json(doc)
+
+
 # -- the insertion product -----------------------------------------------------
 
 
