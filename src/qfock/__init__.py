@@ -1,9 +1,7 @@
 """Computational calculus for q-deformed Gaussian operator algebras."""
 
-from .combinat import (CosetRep, IndexSet, Pairing, PartitionedSet,
-                       contraction_stats, coset_reps, enumerate_interblock_pairings,
-                       enumerate_pairings, enumerate_restricted_pairings,
-                       relative_intertwining)
+from .combinat import (CosetRep, IndexSet, Pairing, contraction_stats, coset_reps,
+                       enumerate_pairings)
 from .fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
                    annihilation, creation, field_operator, operator_norm,
                    pq_matrix, q_inner, wick_block_matrix, wick_operator)

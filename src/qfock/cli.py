@@ -53,6 +53,22 @@ def _q_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _vectors(doc: dict) -> list:
+    """The document's ``vectors``: a nonempty list of equal-length lists of finite numbers."""
+    vectors = doc.get("vectors")
+    if not (isinstance(vectors, list) and vectors and all(
+            isinstance(v, list) and len(v) == len(vectors[0]) > 0
+            and all(fock.is_finite_number(x) for x in v) for v in vectors)):
+        raise ValueError("'vectors' must be a nonempty list of equal-length lists of numbers")
+    return vectors
+
+
+def _is_int_pairs(value) -> bool:
+    """Whether a JSON value is a list of ``[s, t]`` integer pairs."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p) for p in value)
+
+
 def _word_vectors(word: str, gram: str):
     letters = sorted(set(word))
     if gram != "identity":
@@ -84,7 +100,7 @@ def _cmd_cosets(args, _seed):
 def _cmd_moment(args, _seed):
     doc = _read_input(args)
     if doc is not None:
-        vectors = [np.asarray(v, dtype=float) for v in doc["vectors"]]
+        vectors = [np.asarray(v, dtype=float) for v in _vectors(doc)]
     else:
         if not args.word:
             raise ValueError("need --word or --input")
@@ -96,11 +112,7 @@ def _cmd_wick_expand(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'vectors': [...]} required")
-    vectors = doc["vectors"]
-    if not (isinstance(vectors, list) and vectors and all(
-            isinstance(v, list) and len(v) == len(vectors[0]) > 0
-            and all(fock.is_finite_number(x) for x in v) for v in vectors)):
-        raise ValueError("'vectors' must be a nonempty list of equal-length lists of numbers")
+    vectors = _vectors(doc)
     if len(vectors[0]) ** len(vectors) > MAX_TENSOR_ENTRIES:
         raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
     return {"element": wickalg.expand_field_product(vectors, args.q).to_json()}
@@ -136,8 +148,7 @@ def _cmd_delta_r(args, _seed):
     pattern = polywick.InsertionPattern.from_json(doc["pattern"])
     F = fock.FockTensor.from_json(doc["f"])
     pi, operators = doc.get("pi", []), doc["operators"]
-    if not isinstance(operators, list) or not isinstance(pi, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p) for p in pi):
+    if not isinstance(operators, list) or not _is_int_pairs(pi):
         raise ValueError("'pi' must be a list of [s, t] index pairs and 'operators' a list")
     pi = combinat.Pairing(tuple(tuple(p) for p in pi), pattern.leg_context())
     As = [wickalg.WickElement.from_json(a) for a in operators]
@@ -147,8 +158,16 @@ def _cmd_delta_r(args, _seed):
 def _cmd_counterterm(args, _seed):
     doc = _read_input(args)
     if doc is not None:
+        configs = doc.get("configs")
+        if not isinstance(configs, list) or not all(
+                isinstance(c, dict) and type(c.get("n_legs")) is int
+                and isinstance(c.get("inserts"), list)
+                and all(type(i) is int for i in c["inserts"])
+                and _is_int_pairs(c.get("pairs")) for c in configs):
+            raise ValueError("'configs' must be a list of objects with an integer 'n_legs', "
+                             "a list of integer 'inserts' and a list of [s, t] integer 'pairs'")
         configs = [(c["n_legs"], tuple(c["inserts"]),
-                    tuple(tuple(p) for p in c["pairs"])) for c in doc["configs"]]
+                    tuple(tuple(p) for p in c["pairs"])) for c in configs]
     elif args.family == "quartic2d":
         configs = polywick.quartic_2d_configs()
     elif args.family == "quartic3d":

@@ -1,9 +1,9 @@
 """Pair contractions on totally ordered index sets and their q-weight statistics.
 
-The basic objects are pairings (collections of disjoint ordered pairs inside a
-finite, totally ordered label set) together with three integer statistics:
+A pairing is a set of disjoint ordered pairs (arcs) inside a finite, totally
+ordered label set.  ``contraction_stats`` gives its three integer statistics:
 
-- ``cr``  -- the crossing number: the number of interleaved arc pairs,
+- ``cr``  -- the crossing number: the number of crossing arc pairs,
 - ``sp``  -- the separation number: the number of (arc, free label) incidences
   where the free label lies strictly inside the arc,
 - ``crb`` -- the intertwining number ``cr + sp``, which is the exponent of q
@@ -14,19 +14,22 @@ keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
 One engine, ``pairing_table``, enumerates every pairing sum in the package
-(``wickalg.multiply`` factorises its sum and enumerates none).  Each position
-of a row has a class (``None``: never pairs), and a set of class pairs says
-which may pair; all pairings are the one-class case, inter-block pairings
-have a class per block, and restricted pairings a leg class that may not
-pair with itself and a class per insert block.  Fixed arcs count towards the
-statistics.  Tables are cached by shape alone (classes, allowed pairs, fixed
-arcs, ``k``; never q or the dimension), for at most ``TABLE_CACHE_SIZE``
-shapes.
+(``wickalg.multiply`` factorises its sum and enumerates none).  It lists the
+pairings of positions ``0..n-1`` with their ``cr`` and ``sp``.  Each position
+has a class (``None``: never pairs), and a set of class pairs says which may
+pair.  All pairings are the one-class case, ``ONE_CLASS``; inter-block
+pairings give each block a class and allow ``across_classes(blocks)``;
+restricted pairings give the legs class 0 and each insert block a class of
+its own, with the same allowed set, so no two legs pair.  Fixed arcs count
+towards the statistics.  Tables are cached by shape alone (classes, allowed
+pairs, fixed arcs, ``k``; never q or the dimension), for at most
+``TABLE_CACHE_SIZE`` shapes.  ``enumerate_pairings`` lists the one-class
+table as ``Pairing`` values over a label set.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -113,28 +116,6 @@ class Pairing:
 
 
 @dataclass(frozen=True)
-class PartitionedSet:
-    """A totally ordered set split into consecutive (possibly empty) blocks."""
-
-    blocks: tuple[IndexSet, ...]
-    total: IndexSet = field(init=False)
-
-    def __init__(self, blocks) -> None:
-        blocks = tuple(b if isinstance(b, IndexSet) else IndexSet(tuple(b)) for b in blocks)
-        object.__setattr__(self, "blocks", blocks)
-        merged: list[int] = []
-        for b in blocks:
-            if b.elements and merged and b.elements[0] <= merged[-1]:
-                raise ValueError("blocks must be consecutive and disjoint")
-            merged.extend(b.elements)
-        object.__setattr__(self, "total", IndexSet(tuple(merged)))
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
 class CosetRep:
     """A minimum-inversion representative of a two-block permutation coset.
 
@@ -151,56 +132,19 @@ class CosetRep:
 # ---------------------------------------------------------------------------
 
 
-def crossing_number(pairing: Pairing) -> int:
-    """Number of arc pairs ``(i,j), (k,l)`` with ``i < k < j < l``."""
-    cr = 0
-    for (i, j), (k, l) in itertools.combinations(pairing.pairs, 2):
-        if i < k < j < l or k < i < l < j:
-            cr += 1
-    return cr
-
-
-def separation_number(pairing: Pairing) -> int:
-    """Number of (arc, free label) incidences with the label inside the arc."""
-    free = pairing.free()
-    return sum(1 for (s, t) in pairing.pairs for x in free if s < x < t)
-
-
 def contraction_stats(pairing: Pairing) -> tuple[int, int, int]:
-    """Return ``(cr, sp, crb)`` for a pairing.
+    """Return ``(cr, sp, crb)`` for a pairing, as the module docstring defines them.
 
     >>> contraction_stats(Pairing(((1, 4), (2, 5)), IndexSet.range(6)))
     (1, 2, 3)
     """
-    cr = crossing_number(pairing)
-    sp = separation_number(pairing)
+    cr = 0
+    for (i, j), (k, l) in itertools.combinations(pairing.pairs, 2):
+        if i < k < j < l or k < i < l < j:
+            cr += 1
+    free = pairing.free()
+    sp = sum(1 for (s, t) in pairing.pairs for x in free if s < x < t)
     return cr, sp, cr + sp
-
-
-def intertwining_number(pairing: Pairing) -> int:
-    cr, sp, crb = contraction_stats(pairing)
-    return crb
-
-
-def merge_pairings(a: Pairing, b: Pairing, context: IndexSet | None = None) -> Pairing:
-    """Union of two disjoint pairings, over ``context`` (default: a's context)."""
-    if a.covered() & b.covered():
-        raise ValueError("pairings not disjoint")
-    ctx = context if context is not None else a.context
-    return Pairing(a.pairs + b.pairs, ctx)
-
-
-def relative_intertwining(pi: Pairing, sigma: Pairing) -> int:
-    """``crb(pi ∪ sigma) − crb(sigma)``, both over the shared ambient context.
-
-    Both intertwining numbers are evaluated in the full context with free set
-    "context minus the respective pairing".  The result is a signed integer;
-    nonnegativity is not asserted.
-    """
-    if pi.context != sigma.context:
-        raise ValueError("pairings must share a context")
-    union = merge_pairings(pi, sigma)
-    return intertwining_number(union) - intertwining_number(sigma)
 
 
 def mirror_double(pairing: Pairing) -> Pairing:
@@ -311,12 +255,6 @@ def pairing_table(classes: tuple, allowed: frozenset, fixed: tuple = (),
     return tuple(table)
 
 
-def _pairings_over(context: IndexSet, table) -> list[Pairing]:
-    labels = context.elements
-    return [Pairing(tuple((labels[s], labels[t]) for s, t in pairs), context)
-            for pairs, _, _ in table]
-
-
 def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]:
     """All pairings of ``context`` (with exactly ``k`` pairs when given).
 
@@ -326,45 +264,10 @@ def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]
     >>> [p.pairs for p in enumerate_pairings(IndexSet.range(3))]
     [(), ((1, 2),), ((1, 3),), ((2, 3),)]
     """
-    return _pairings_over(context, pairing_table((0,) * len(context), ONE_CLASS, (), k))
-
-
-def enumerate_interblock_pairings(partitioned: PartitionedSet) -> list[Pairing]:
-    """Pairings of the total set with no pair internal to a block."""
-    classes = tuple(i for i, b in enumerate(partitioned.blocks) for _ in b)
-    table = pairing_table(classes, across_classes(partitioned.n_blocks))
-    return _pairings_over(partitioned.total, table)
-
-
-def interleave(legs: PartitionedSet, inserts: PartitionedSet) -> PartitionedSet:
-    """Interleaving ``I_1 ⊔ J_1 ⊔ I_2 ⊔ ... ⊔ J_{m-1} ⊔ I_m`` of two partitioned sets.
-
-    Requires ``inserts`` to have exactly one block fewer than ``legs`` and the
-    label ranges to be compatible with the alternating order.
-    """
-    if inserts.n_blocks != legs.n_blocks - 1:
-        raise ValueError("insert partition must have one block fewer than the leg partition")
-    blocks: list[IndexSet] = []
-    for i, leg_block in enumerate(legs.blocks):
-        blocks.append(leg_block)
-        if i < inserts.n_blocks:
-            blocks.append(inserts.blocks[i])
-    return PartitionedSet(blocks)
-
-
-def enumerate_restricted_pairings(legs: PartitionedSet, inserts: PartitionedSet) -> list[Pairing]:
-    """Inter-block pairings of the interleaving that avoid leg-leg pairs.
-
-    >>> legs = PartitionedSet([(1,), (3,)])
-    >>> inserts = PartitionedSet([(2,)])
-    >>> [p.pairs for p in enumerate_restricted_pairings(legs, inserts)]
-    [(), ((1, 2),), ((2, 3),)]
-    """
-    woven = interleave(legs, inserts)
-    insert_class = {x: j + 1 for j, block in enumerate(inserts.blocks) for x in block}
-    classes = tuple(insert_class.get(x, 0) for x in woven.total)
-    table = pairing_table(classes, across_classes(inserts.n_blocks + 1))
-    return _pairings_over(woven.total, table)
+    labels = context.elements
+    table = pairing_table((0,) * len(context), ONE_CLASS, (), k)
+    return [Pairing(tuple((labels[s], labels[t]) for s, t in pairs), context)
+            for pairs, _, _ in table]
 
 
 def coset_reps(n: int, k: int) -> list[CosetRep]:

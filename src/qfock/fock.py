@@ -85,9 +85,6 @@ class FockTensor:
     def __add__(self, other: "FockTensor") -> "FockTensor":
         return FockTensor(self.d, self.data + other.data)
 
-    def __sub__(self, other: "FockTensor") -> "FockTensor":
-        return FockTensor(self.d, self.data - other.data)
-
     def scale(self, c: float) -> "FockTensor":
         return FockTensor(self.d, c * self.data)
 
@@ -158,15 +155,6 @@ class FockVector:
     def sector(self, k: int) -> np.ndarray:
         return self.sectors.get(k, np.zeros((self.d,) * k))
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.sectors)
-        for k, arr in other.sectors.items():
-            out[k] = out.get(k, 0.0) + arr
-        return FockVector(self.d, out)
-
-    def scale(self, c: float) -> "FockVector":
-        return FockVector(self.d, {k: c * v for k, v in self.sectors.items()})
-
     def fq_inner(self, other: "FockVector", q: float) -> float:
         tot = 0.0
         for k in sorted(set(self.sectors) & set(other.sectors)):
@@ -177,15 +165,6 @@ class FockVector:
 # ---------------------------------------------------------------------------
 # the q-symmetrizer
 # ---------------------------------------------------------------------------
-
-
-def permute_factors(tensor: np.ndarray, perm) -> np.ndarray:
-    """Action of a permutation on tensor factors.
-
-    For an elementary tensor, ``permute_factors(f_1⊗...⊗f_n, σ)`` equals
-    ``f_{σ(1)} ⊗ ... ⊗ f_{σ(n)}`` with σ given 0-based in one-line notation.
-    """
-    return np.transpose(tensor, axes=list(perm))
 
 
 def _pq_apply_axes(tensor: np.ndarray, axes: list[int], q: float) -> np.ndarray:

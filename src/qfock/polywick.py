@@ -4,7 +4,7 @@ A pattern of LEG and INSERT slots describes a product of noise legs with
 bounded operators placed between them.  The insertion product expands every
 inserted operator over its chaos components, splices those legs into the row,
 and sums over the admissible cross pairings with weight ``q^crb`` evaluated in
-the full interleaved row (the legs removed by a prior partial contraction
+the full spliced row (the legs removed by a prior partial contraction
 still occupy their positions and contribute to the weight).
 
 The counterterm calculus at the end assigns to a fully paired leg
@@ -113,7 +113,7 @@ def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
     if F.degree != len(free_legs):
         raise ValueError(f"tensor degree {F.degree} != {len(free_legs)} remaining legs")
 
-    # Lay out the interleaved row: one row per leg slot and one per axis of
+    # Lay out the spliced row: one row per leg slot and one per axis of
     # each inserted tensor.  A row's class is the operand carrying its axis
     # (0 for F, j for the j-th insert), or None for a leg that pi contracts.
     classes: list[int | None] = []
@@ -168,14 +168,6 @@ def delta_R(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
         Gs = [inner[j].chaos[k] for j, k in enumerate(combo)]
         core = core + restricted_wick(pattern, pi, F, Gs, q)
     return multiply(multiply(As[0], core, q), As[-1], q).trim()
-
-
-def insertion_multiply(pattern: InsertionPattern, F: FockTensor, inner,
-                       q: float) -> WickElement:
-    """The plain insertion product: identity outer operators, no contraction."""
-    ones = WickElement.one(F.d)
-    return delta_R(pattern, Pairing.empty(pattern.leg_context()), F,
-                   [ones] + list(inner) + [ones], q)
 
 
 def disentangle_check(pattern: InsertionPattern, fs, As, q: float):
@@ -292,10 +284,6 @@ class DeltaPolynomial:
     def to_json(self) -> list:
         return [{"q": a, "delta": b, "count": c}
                 for (a, b), c in sorted(self.coeffs.items())]
-
-    @staticmethod
-    def from_json(obj: list) -> "DeltaPolynomial":
-        return DeltaPolynomial({(e["q"], e["delta"]): e["count"] for e in obj})
 
     def __repr__(self) -> str:
         terms = [f"{c}*q^{a}*D^{b}" for (a, b), c in sorted(self.coeffs.items())]

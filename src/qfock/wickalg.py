@@ -13,13 +13,14 @@ all of it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .combinat import ONE_CLASS, pairing_table
-from .fock import (FockTensor, TruncatedOperator, field_operator,
+from .fock import (FockTensor, TruncatedOperator, TruncationError, field_operator,
                    identity_operator, wick_operator)
 
 
@@ -39,7 +40,10 @@ class NormConstants:
 
 @lru_cache(maxsize=64)
 def norm_constants(q: float, tol: float = 1e-15) -> NormConstants:
-    """The constants at q, memoised for the last 64 ``(q, tol)`` asked for."""
+    """The constants at q, memoised for the last 64 ``(q, tol)`` asked for.
+
+    Raises ValueError where ``C`` overflows a float, from about ``|q| > 0.9977``.
+    """
     if not -1.0 < q < 1.0:
         raise ValueError("norm constants require |q| < 1")
     a = abs(q)
@@ -49,16 +53,12 @@ def norm_constants(q: float, tol: float = 1e-15) -> NormConstants:
     while True:
         factor = 1.0 / (1.0 - a ** n)
         C *= factor
+        if C == math.inf:
+            raise ValueError(f"norm constant C overflows a float at q = {q}")
         if abs(1.0 - factor) < tol:
             break
         n += 1
-        if n > 100000:  # pragma: no cover - |q| < 1 converges long before
-            break
     return NormConstants(q, D, C, tol)
-
-
-class TruncationCutoffError(ValueError):
-    """Requested exact sectors do not fit below the cutoff."""
 
 
 class WickElement:
@@ -375,12 +375,21 @@ def delta_q(A: WickElement, q: float) -> WickElement:
 
 
 def triple_norm(A: WickElement, q: float) -> float:
-    """The graded ℓ¹ algebra norm ``Σ_k (k+1) C^{3/2} D^k ||F_k||``."""
+    """The graded ℓ¹ algebra norm ``Σ_k (k+1) C^{3/2} D^k ||F_k||``.
+
+    Raises ValueError where the sum does not fit a float.
+    """
     if not -1.0 < q < 1.0:
         raise ValueError("norm undefined at q = ±1")
     nc = norm_constants(q)
-    return sum((k + 1) * nc.C ** 1.5 * nc.D ** k * F.norm()
-               for k, F in sorted(A.chaos.items()))
+    try:
+        total = sum((k + 1) * nc.C ** 1.5 * nc.D ** k * F.norm()
+                    for k, F in sorted(A.chaos.items()))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the triple norm at q = {q} does not fit a float")
+    return total
 
 
 def to_operator(A: WickElement, q: float, cutoff: int) -> TruncatedOperator:
@@ -392,6 +401,6 @@ def to_operator(A: WickElement, q: float, cutoff: int) -> TruncatedOperator:
     exactly.
     """
     if A.max_degree() > cutoff:
-        raise TruncationCutoffError(
+        raise TruncationError(
             f"cutoff {cutoff} too small for chaos degree {A.max_degree()}")
     return wick_operator(A.d, {n: F.data for n, F in A.chaos.items()}, q, cutoff)

@@ -93,7 +93,7 @@ def test_criterion_04_intertwining_statistics():
     for n in range(7):
         for pairing in combinat.enumerate_pairings(combinat.IndexSet.range(n)):
             doubled = combinat.mirror_double(pairing)
-            if combinat.crossing_number(doubled) != 2 * combinat.intertwining_number(pairing):
+            if combinat.contraction_stats(doubled)[0] != 2 * combinat.contraction_stats(pairing)[2]:
                 doubling_ok = False
     elapsed = time.monotonic() - start
     ok = example_ok and doubling_ok and elapsed < 5.0

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfock import jsonio, wickalg
+from qfock import jsonio, verify, wickalg
 from qfock.cli import MAX_TENSOR_ENTRIES, run
-from qfock.wickalg import WickElement, expand_field_product
+from qfock.polywick import quartic_2d_configs
+from qfock.wickalg import WickElement, expand_field_product, wick_product_vectors
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -143,15 +144,37 @@ def test_wick_expand_refuses_a_huge_tensor_before_building_it(tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("vectors", [
+BAD_VECTORS = [
     5, [], [1.0, 2.0], {"0": [1.0]}, [[1.0], "ab"], [[], []], [[1.0], [1.0, 2.0]],
     [[[1.0]], [[2.0]]], [[None, 1.0]], [["1", 2.0]], [[True, 1.0]],
-])
+]
+
+
+@pytest.mark.parametrize("vectors", BAD_VECTORS)
 def test_wick_expand_bad_vectors_are_structured_errors(vectors, tmp_path, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"vectors": vectors}))
     code, doc, _ = _capture(capsys, ["wick-expand", "--q", "0.5", "--input", str(path)])
     assert code == 2
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
+def test_moment_with_input_vectors(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"vectors": [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]}))
+    code, doc, _ = _capture(capsys, ["moment", "--q", "0.5", "--input", str(path)])
+    assert code == 0
+    assert doc["outputs"]["value"] == 0.5
+
+
+# 1e400 parses as an infinite float
+@pytest.mark.parametrize("text", [json.dumps(v) for v in BAD_VECTORS] + ["[[1e400]]"])
+def test_moment_bad_vectors_are_structured_errors(text, tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text('{"vectors": %s}' % text)
+    code, doc, _ = _capture(capsys, ["moment", "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert doc["outputs"]["code"] == "ValueError"
     assert set(doc["outputs"]) == {"code", "message"}
 
 
@@ -178,6 +201,38 @@ def test_counterterm_families(capsys):
     assert doc["outputs"]["eval_at_one"] == 18.0
 
 
+def test_counterterm_with_input_configs(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    configs = [{"n_legs": n, "inserts": list(ins), "pairs": [list(p) for p in pi]}
+               for n, ins, pi in quartic_2d_configs()]
+    path.write_text(json.dumps({"configs": configs}))
+    code, doc, _ = _capture(capsys, ["counterterm", "--input", str(path)])
+    assert code == 0
+    assert doc["outputs"]["polynomial"] == [
+        {"q": 0, "delta": 0, "count": 2}, {"q": 0, "delta": 1, "count": 1}]
+
+
+def _config(**changes):
+    return {"n_legs": 2, "inserts": [3], "pairs": [[1, 2]], **changes}
+
+
+@pytest.mark.parametrize("configs", [
+    5, [5], None, {"0": _config()}, [_config(pairs=[[1, "a"]])], [_config(inserts=[3.5])],
+    [_config(inserts=3)], [_config(inserts=[True], pairs=[[2, 3]])], [_config(n_legs=2.0)],
+    [_config(n_legs=True)], [_config(n_legs=None)], [_config(pairs=[1, 2])],
+    [_config(pairs=[[1, 2, 3]])], [_config(pairs=[[1.0, 2.0]])], [_config(pairs=5)],
+    [{"n_legs": 2, "inserts": [3]}],
+    [_config(pairs=[[1, 3]])], [_config(n_legs=4)], [_config(inserts=[2, 2])],
+])
+def test_counterterm_bad_configs_are_structured_errors(configs, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"configs": configs}))
+    code, doc, _ = _capture(capsys, ["counterterm", "--input", str(path)])
+    assert code == 2
+    assert doc["outputs"]["code"] == "ValueError"
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
 def test_bphz_command(capsys):
     code, doc, _ = _capture(capsys, ["bphz-constant", "--epsilon", "0.1",
                                      "--mollifier", "triangle"])
@@ -198,6 +253,17 @@ def test_verify_single_suite(capsys):
     assert doc["outputs"]["passed"] is True
     names = [c["name"] for s in doc["outputs"]["suites"] for c in s["checks"]]
     assert "quartic-3d-counterterm" in names
+
+
+def test_verify_all_suites(capsys):
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "all"])
+    assert code == 0
+    assert doc["outputs"]["passed"] is True
+    suites = doc["outputs"]["suites"]
+    assert [suite["suite"] for suite in suites] == list(verify.SUITES)
+    assert len(suites) == 9
+    assert all(suite["passed"] and suite["checks"] for suite in suites)
+    assert all(check["passed"] for suite in suites for check in suite["checks"])
 
 
 def test_verify_output_deterministic_for_seed(capsys):
@@ -230,6 +296,24 @@ def test_norm_command(tmp_path, capsys):
     assert code == 0
     assert doc["outputs"]["triple_norm"] == pytest.approx(2.0)
     assert doc["outputs"]["operator_norm_estimate"] <= 2.0 + 1e-9
+
+
+def test_norm_cutoff_below_chaos_degree_is_truncation_error(tmp_path, capsys):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"element": wick_product_vectors([[1.0, 0.0]] * 3, 0.5).to_json()}))
+    code, doc, _ = _capture(capsys, ["norm", "--q", "0.5", "--input", str(path), "--cutoff", "2"])
+    assert code == 2
+    assert doc["outputs"]["code"] == "TruncationError"
+
+
+@pytest.mark.parametrize("q", ["0.9972", "0.999", "-0.999"])
+def test_norm_near_q_one_is_structured_error(q, tmp_path, capsys):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"element": WickElement.from_vector([1.0, 0.0]).to_json()}))
+    code, doc, _ = _capture(capsys, ["norm", "--q", q, "--input", str(path)])
+    assert code == 2
+    assert doc["outputs"]["code"] == "ValueError"
+    assert q in doc["outputs"]["message"]
 
 
 def _chaos_one(coeffs):

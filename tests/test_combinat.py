@@ -4,13 +4,9 @@ from math import comb, perm
 
 import pytest
 
-from qfock.combinat import (ONE_CLASS, CosetRep, IndexSet, Pairing, PartitionedSet,
-                            across_classes, contraction_stats, coset_reps,
-                            crossing_number, double_factorial_odd,
-                            enumerate_interblock_pairings, enumerate_pairings,
-                            enumerate_restricted_pairings, interleave,
-                            intertwining_number, merge_pairings, mirror_double,
-                            pairing_table, relative_intertwining)
+from qfock.combinat import (ONE_CLASS, CosetRep, IndexSet, Pairing, across_classes,
+                            contraction_stats, coset_reps, double_factorial_odd,
+                            enumerate_pairings, mirror_double, pairing_table)
 from qfock.wickalg import norm_constants
 
 
@@ -79,7 +75,7 @@ def _all_pairings(positions):
 
 @functools.lru_cache(maxsize=None)
 def _stats(arcs, n):
-    """(cr, sp) by definition: interleaved arc pairs, and free positions inside arcs."""
+    """(cr, sp) by definition: crossing arc pairs, and free positions inside arcs."""
     covered = {x for arc in arcs for x in arc}
     cr = sum(1 for (i, j), (k, l) in itertools.combinations(arcs, 2)
              if i < k < j < l or k < i < l < j)
@@ -220,7 +216,7 @@ def test_doubling_identity_exhaustive():
         for p in enumerate_pairings(IndexSet.range(n)):
             doubled = mirror_double(p)
             assert doubled.free() == ()
-            assert 2 * intertwining_number(p) == crossing_number(doubled)
+            assert 2 * contraction_stats(p)[2] == contraction_stats(doubled)[0]
 
 
 def test_crb_concatenation_additivity():
@@ -232,8 +228,8 @@ def test_crb_concatenation_additivity():
         for pl in enumerate_pairings(left_ctx):
             for pr in enumerate_pairings(right_ctx):
                 merged = Pairing(pl.pairs + pr.pairs, big)
-                assert intertwining_number(merged) == \
-                    intertwining_number(pl) + intertwining_number(pr)
+                assert contraction_stats(merged)[2] == \
+                    contraction_stats(pl)[2] + contraction_stats(pr)[2]
 
 
 def test_crb_append_recursion():
@@ -245,74 +241,34 @@ def test_crb_append_recursion():
             for j in sorted(free):
                 grown = Pairing(p.pairs + ((j, n + 1),), big)
                 count = sum(1 for x in free if j < x <= n)
-                assert intertwining_number(grown) == intertwining_number(p) + count
+                assert contraction_stats(grown)[2] == contraction_stats(p)[2] + count
 
 
-# -- relative intertwining --------------------------------------------------------
-
-
-def test_relative_intertwining_examples():
-    ctx3 = IndexSet.range(3)
-    assert relative_intertwining(Pairing(((1, 2),), ctx3), Pairing.empty(ctx3)) == 0
-    ctx6 = IndexSet.range(6)
-    for sigma in enumerate_pairings(ctx6):
-        assert relative_intertwining(Pairing.empty(ctx6), sigma) == 0
-    pi = Pairing(((1, 4),), ctx6)
-    sigma = Pairing(((2, 5),), ctx6)
-    # crb(union) = 3, crb(sigma in the ambient context) = 2
-    assert intertwining_number(merge_pairings(pi, sigma)) == 3
-    assert intertwining_number(sigma) == 2
-    assert relative_intertwining(pi, sigma) == 1
-
-
-def test_relative_intertwining_disjointness_error():
-    ctx = IndexSet.range(4)
-    with pytest.raises(ValueError, match="not disjoint"):
-        relative_intertwining(Pairing(((1, 2),), ctx), Pairing(((2, 3),), ctx))
-
-
-# -- partitioned sets ---------------------------------------------------------------
+# -- layouts of inter-block and restricted pairings ---------------------------------
 
 
 def test_interblock_pairings():
-    p = PartitionedSet([(1, 2), (3, 4)])
-    got = [x.pairs for x in enumerate_interblock_pairings(p)]
-    assert got == [(), ((1, 3),), ((1, 3), (2, 4)), ((1, 4),), ((1, 4), (2, 3)),
-                   ((2, 3),), ((2, 4),)]
-    assert len(got) == 7
+    # two blocks {0, 1} and {2, 3}
+    got = [pairs for pairs, _, _ in pairing_table((0, 0, 1, 1), across_classes(2))]
+    assert got == [(), ((0, 2),), ((0, 2), (1, 3)), ((0, 3),), ((0, 3), (1, 2)),
+                   ((1, 2),), ((1, 3),)]
 
-    single = PartitionedSet([(1, 2, 3, 4)])
-    assert [x.pairs for x in enumerate_interblock_pairings(single)] == [()]
-
-    tiny = PartitionedSet([(1,), (2,)])
-    assert [x.pairs for x in enumerate_interblock_pairings(tiny)] == [(), ((1, 2),)]
+    assert [pairs for pairs, _, _ in pairing_table((0,) * 4, across_classes(1))] == [()]
+    assert [pairs for pairs, _, _ in pairing_table((0, 1), across_classes(2))] == \
+        [(), ((0, 1),)]
 
 
 def test_restricted_pairings():
-    legs = PartitionedSet([(1,), (3,)])
-    inserts = PartitionedSet([(2,)])
-    got = {x.pairs for x in enumerate_restricted_pairings(legs, inserts)}
-    assert got == {(), ((1, 2),), ((2, 3),)}
+    # legs are class 0 and may not pair with each other; each insert block has its own class
+    got = {pairs for pairs, _, _ in pairing_table((0, 1, 0), across_classes(2))}
+    assert got == {(), ((0, 1),), ((1, 2),)}
 
-    legs = PartitionedSet([(1,), (4,)])
-    inserts = PartitionedSet([(2, 3)])
-    got = {x.pairs for x in enumerate_restricted_pairings(legs, inserts)}
-    assert got == {(), ((1, 2),), ((1, 3),), ((2, 4),), ((3, 4),),
-                   ((1, 2), (3, 4)), ((1, 3), (2, 4))}
+    got = {pairs for pairs, _, _ in pairing_table((0, 1, 1, 0), across_classes(2))}
+    assert got == {(), ((0, 1),), ((0, 2),), ((1, 3),), ((2, 3),),
+                   ((0, 1), (2, 3)), ((0, 2), (1, 3))}
 
-    legs = PartitionedSet([(1,), (2,)])
-    empties = PartitionedSet([()])
-    assert [x.pairs for x in enumerate_restricted_pairings(legs, empties)] == [()]
-
-
-def test_interleave_block_count_mismatch():
-    with pytest.raises(ValueError):
-        interleave(PartitionedSet([(1,), (3,)]), PartitionedSet([(2,), (4,)]))
-
-
-def test_partitioned_set_rejects_out_of_order_blocks():
-    with pytest.raises(ValueError):
-        PartitionedSet([(3, 4), (1, 2)])
+    # an empty insert block between two legs
+    assert [pairs for pairs, _, _ in pairing_table((0, 0), across_classes(2))] == [()]
 
 
 # -- coset representatives ---------------------------------------------------------

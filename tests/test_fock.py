@@ -10,7 +10,7 @@ from conftest import Q_GRID, inverse_perm, random_element, random_tensor
 from qfock.combinat import coset_reps
 from qfock.fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
                         annihilation, creation, field_operator, identity_operator,
-                        operator_norm, permute_factors, pq_apply, pq_matrix,
+                        operator_norm, pq_apply, pq_matrix,
                         q_inner, wick_block_matrix, _shuffle_weighted_tensor)
 from qfock.wickalg import norm_constants, to_operator
 
@@ -91,7 +91,7 @@ def test_pq_coset_factorization(rng):
         for rep in coset_reps(n, k):
             term = _apply_partial_pq(X, list(range(k)), q)
             term = _apply_partial_pq(term, list(range(k, n)), q)
-            got += q ** rep.inversions * permute_factors(term, [v - 1 for v in rep.permutation])
+            got += q ** rep.inversions * np.transpose(term, [v - 1 for v in rep.permutation])
         assert np.allclose(got, expected)
 
 
@@ -254,7 +254,7 @@ def test_wick_block_q_to_free_reduction(rng):
                 for rep in coset_reps(m, ell):
                     sigma = [v - 1 for v in inverse_perm(rep.permutation)]
                     rhs = rhs + q ** rep.inversions * (
-                        W0.block(m)[mout] @ permute_factors(X, sigma).reshape(-1))
+                        W0.block(m)[mout] @ np.transpose(X, sigma).reshape(-1))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import Q_GRID, random_element, random_tensor
-from qfock.combinat import (TABLE_CACHE_SIZE, Pairing, PartitionedSet, across_classes,
-                            enumerate_interblock_pairings, intertwining_number,
-                            pairing_table)
-from qfock.fock import FockVector, operator_norm
+from qfock.combinat import TABLE_CACHE_SIZE, Pairing, across_classes, pairing_table
+from qfock.fock import FockVector, TruncationError, operator_norm
 from qfock.polywick import InsertionPattern, restricted_wick
-from qfock.wickalg import (TruncationCutoffError, WickElement, delta_q,
-                           expand_field_product, moment, multiply,
+from qfock.wickalg import (WickElement, delta_q, expand_field_product, moment, multiply,
                            norm_constants, sum_chaos, to_operator, triple_norm,
                            vacuum_expectation, wick_product_recursive_operator,
                            wick_product_vectors)
@@ -321,6 +318,20 @@ def test_triple_norm_boundary_error(rng):
         triple_norm(A, 1.0)
 
 
+def test_norm_fails_closed_near_one():
+    # C overflows a float from |q| = 0.9977 on, and C^{3/2} already at 0.9972
+    e = WickElement.from_vector(np.array([1.0, 0.0]))
+    assert triple_norm(e, 0.995) == 1.1424365406696847e+214
+    for q in (0.9972, -0.9972):
+        with pytest.raises(ValueError, match="does not fit a float"):
+            triple_norm(e, q)
+    for q in (0.999, -0.999):
+        with pytest.raises(ValueError, match=f"overflows a float at q = {q}"):
+            norm_constants(q)
+        with pytest.raises(ValueError, match="overflows"):
+            triple_norm(WickElement.zero(2), q)
+
+
 def test_submultiplicative_sample(rng):
     for q in (-0.9, -0.5, 0.5, 0.9):
         for _ in range(50):
@@ -354,16 +365,12 @@ def test_weighted_contraction_count_bound():
     for q in (-0.9, -0.5, 0.5, 0.9):
         D = norm_constants(q).D
         for sizes in layouts:
-            blocks, start = [], 1
-            for s in sizes:
-                blocks.append(tuple(range(start, start + s)))
-                start += s
-            part = PartitionedSet(blocks)
+            classes = tuple(b for b, size in enumerate(sizes) for _ in range(size))
             total = 0.0
-            for pairing in enumerate_interblock_pairings(part):
-                free = len(part.total) - 2 * len(pairing)
-                total += (free + 1) * D ** free * abs(q) ** intertwining_number(pairing)
-            bound = D ** len(part.total) * np.prod([s + 1 for s in sizes])
+            for pairs, cr, sp in pairing_table(classes, across_classes(len(sizes))):
+                free = len(classes) - 2 * len(pairs)
+                total += (free + 1) * D ** free * abs(q) ** (cr + sp)
+            bound = D ** len(classes) * np.prod([s + 1 for s in sizes])
             assert total <= bound + 1e-9
 
 
@@ -392,7 +399,7 @@ def test_to_operator_single_vector(rng):
 
 def test_to_operator_cutoff_too_small(rng):
     A = random_element(rng, 2, 4)
-    with pytest.raises(TruncationCutoffError):
+    with pytest.raises(TruncationError):
         to_operator(A, 0.5, 3)
 
 
