@@ -21,6 +21,7 @@ from . import combinat, fock, jsonio, polywick, qsde, verify, wickalg
 
 DEFAULT_SEED = 12345
 MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor wick-expand builds
+MAX_PAIRINGS = 1 << 18  # the largest table pairings and moment enumerate (n = 12 has 140,152)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,8 +50,18 @@ def _read_input(args) -> dict | None:
     return None
 
 
-def _q_grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _q_grid(text: str) -> tuple[float, ...]:
+    """The ``--q-grid`` values: at least one, each finite and in [-1, 1] like ``--q``."""
+    grid = tuple(float(x) for x in text.split(",") if x.strip())
+    if not grid or not all(-1.0 <= q <= 1.0 for q in grid):
+        raise ValueError(f"--q-grid must list one or more finite values in [-1, 1], got {text!r}")
+    return grid
+
+
+def _refuse_large_table(count: int) -> None:
+    """Refuse, before enumerating, a pairing table longer than ``MAX_PAIRINGS``."""
+    if count > MAX_PAIRINGS:
+        raise ValueError(f"the table would list {count} pairings, more than {MAX_PAIRINGS}")
 
 
 def _vectors(doc: dict) -> list:
@@ -84,6 +95,10 @@ def _word_vectors(word: str, gram: str):
 def _cmd_pairings(args, _seed):
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
+    ks = range(args.n // 2 + 1) if args.k is None else [args.k]
+    # a negative --k is left to pairing_table, which refuses it
+    _refuse_large_table(sum(math.comb(args.n, 2 * k) * combinat.double_factorial_odd(k)
+                            for k in ks if k >= 0))
     table = combinat.pairing_table((0,) * args.n, combinat.ONE_CLASS, (), args.k)
     out = [{"pairs": [[s + 1, t + 1] for s, t in pairs], "cr": cr, "sp": sp, "crb": cr + sp}
            for pairs, cr, sp in table]
@@ -105,6 +120,8 @@ def _cmd_moment(args, _seed):
         if not args.word:
             raise ValueError("need --word or --input")
         vectors = _word_vectors(args.word, args.gram)
+    if len(vectors) % 2 == 0:  # an odd moment is 0 and lists no pairings
+        _refuse_large_table(combinat.double_factorial_odd(len(vectors) // 2))
     return {"value": wickalg.moment(vectors, args.q)}
 
 
@@ -214,14 +231,12 @@ def _cmd_ito(args, _seed):
 
 
 def _cmd_verify(args, seed):
-    kwargs = {"seed": seed}
-    if args.q_grid:
-        kwargs["q_grid"] = tuple(_q_grid(args.q_grid))
-    if args.d:
-        kwargs["d"] = args.d
-    if args.chaos:
-        kwargs["chaos"] = args.chaos
-    return verify.run_suites([args.suite], **kwargs)
+    if (args.d is not None and args.d < 1) or (args.chaos is not None and args.chaos < 0):
+        raise ValueError(f"need --d >= 1 and --chaos >= 0, got --d {args.d}, --chaos {args.chaos}")
+    options = {"d": args.d, "chaos": args.chaos,
+               "q_grid": None if args.q_grid is None else _q_grid(args.q_grid)}
+    return verify.run_suites([args.suite], seed=seed,
+                             **{k: v for k, v in options.items() if v is not None})
 
 
 # -- wiring ---------------------------------------------------------------------

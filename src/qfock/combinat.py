@@ -14,9 +14,10 @@ keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
 One engine, ``pairing_table``, enumerates every pairing sum in the package
-(``wickalg.multiply`` factorises its sum and enumerates none).  It lists the
-pairings of positions ``0..n-1`` with their ``cr`` and ``sp``.  Each position
-has a class (``None``: never pairs), and a set of class pairs says which may
+(``wickalg.multiply`` factorises its sum, ``wickalg.expand_field_product``
+folds ``multiply``, and neither reads a table).  It lists the pairings of
+positions ``0..n-1`` with their ``cr`` and ``sp``.  Each position has a
+class (``None``: never pairs), and a set of class pairs says which may
 pair.  All pairings are the one-class case, ``ONE_CLASS``; inter-block
 pairings give each block a class and allow ``across_classes(blocks)``;
 restricted pairings give the legs class 0 and each insert block a class of

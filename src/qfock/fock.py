@@ -111,8 +111,9 @@ class FockTensor:
         d, degree, coeffs = obj.get("d"), obj.get("degree"), obj.get("coeffs")
         if not _is_index(d) or d < 1:
             raise ValueError(f"tensor 'd' must be a positive integer, got {d!r}")
-        if not _is_index(degree):
-            raise ValueError(f"tensor 'degree' must be a nonnegative integer, got {degree!r}")
+        if not _is_index(degree) or degree > 64:  # numpy arrays have at most 64 axes
+            raise ValueError(f"tensor 'degree' must be a nonnegative integer up to 64, "
+                             f"got {degree!r}")
         if not isinstance(coeffs, list) or not all(isinstance(e, dict) for e in coeffs):
             raise ValueError("tensor 'coeffs' must be a list of objects")
         t = FockTensor.zeros(d, degree)

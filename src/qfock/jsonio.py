@@ -11,19 +11,19 @@ import math
 import numpy as np
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+        items = [f"{pad_in}{json.dumps(str(k))}: {_render(v, level + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad_in}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
@@ -41,5 +41,5 @@ def _render(obj, indent: int, level: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _render(obj, indent, 0)
+def dumps(obj) -> str:
+    return _render(obj, 0)

@@ -72,10 +72,9 @@ def levy_area_tensor(s: float, t: float, side: str, grid: TimeGrid,
         raise ValueError("side must be 'L' or 'R'")
     a, b = sorted((grid.cell_index(s), grid.cell_index(t)))
     data = np.zeros((grid.cells, grid.cells))
-    for k in range(a, b):
-        data[k, k] = diag_weight * grid.dt
-        for l in range(k + 1, b):
-            data[k, l] = grid.dt
+    block = np.triu(np.full((b - a, b - a), grid.dt), 1)
+    np.fill_diagonal(block, diag_weight * grid.dt)
+    data[a:b, a:b] = block
     if side == RIGHT:
         data = data.T
     return FockTensor(grid.cells, data)
@@ -124,13 +123,14 @@ def triangle_bump(x: float) -> float:
     return max(0.0, 1.0 - abs(x))
 
 
-def bphz_constant(mollifier, eps: float, tol: float = 1e-9) -> float:
+def bphz_constant(mollifier, eps: float) -> float:
     """The half-line mass of the self-convolved mollifier at scale eps.
 
     Computes ``∫_0^∞ ∫ ρ_eps(s-z) ρ_eps(z) dz ds`` by nested adaptive
     quadrature.  For any even normalized mollifier the value is 1/2,
     independently of eps.
     """
+    tol = 1e-9  # absolute error of the outer quadrature; the inner ones get 1e-2 of it
     if eps <= 0:
         raise ValueError("eps must be positive")
     total, _ = quad(mollifier, -1.0, 1.0, epsabs=tol * 1e-2, limit=200)
@@ -189,7 +189,7 @@ def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     residual = powX[p] - powB[p]
     for ell in range(p):
         residual = residual - multiply(multiply(powB[ell], D, q), powB[p - 1 - ell], q)
-    residual = residual.trim(0.0)
+    residual = residual.trim()
 
     pred_unordered = WickElement.zero(grid.cells)
     for r in range(1, p + 1):

@@ -29,18 +29,17 @@ class NormConstants:
     """The constants of the graded norm at a fixed q in (-1, 1).
 
     ``D = 1/(1-|q|)``; ``C`` is the infinite product ``∏ (1-|q|^n)^{-1}``
-    truncated once the tail factor deviates from 1 by less than ``tol``.
+    truncated once the tail factor deviates from 1 by less than 1e-15.
     """
 
     q: float
     D: float
     C: float
-    tol: float
 
 
 @lru_cache(maxsize=64)
-def norm_constants(q: float, tol: float = 1e-15) -> NormConstants:
-    """The constants at q, memoised for the last 64 ``(q, tol)`` asked for.
+def norm_constants(q: float) -> NormConstants:
+    """The constants at q, memoised for the last 64 values of q asked for.
 
     Raises ValueError where ``C`` overflows a float, from about ``|q| > 0.9977``.
     """
@@ -55,10 +54,10 @@ def norm_constants(q: float, tol: float = 1e-15) -> NormConstants:
         C *= factor
         if C == math.inf:
             raise ValueError(f"norm constant C overflows a float at q = {q}")
-        if abs(1.0 - factor) < tol:
+        if abs(1.0 - factor) < 1e-15:
             break
         n += 1
-    return NormConstants(q, D, C, tol)
+    return NormConstants(q, D, C)
 
 
 class WickElement:
@@ -102,20 +101,22 @@ class WickElement:
         return max(self.chaos, default=0)
 
     def support(self, tol: float = 0.0) -> tuple[int, ...]:
+        """The degrees with a coefficient above tol in size, or a NaN one."""
         return tuple(sorted(k for k, F in self.chaos.items()
-                            if np.max(np.abs(F.data), initial=0.0) > tol))
+                            if not np.max(np.abs(F.data), initial=0.0) <= tol))
 
-    def trim(self, tol: float = 0.0) -> "WickElement":
-        return WickElement(self.d, {k: F for k, F in self.chaos.items()
-                                    if np.max(np.abs(F.data), initial=0.0) > tol})
+    def trim(self) -> "WickElement":
+        """Drop the degrees whose coefficients are all zero (a NaN is kept)."""
+        return WickElement(self.d, {k: F for k, F in self.chaos.items() if F.data.any()})
 
     def chaos_part(self, degrees) -> "WickElement":
         keep = set(degrees)
         return WickElement(self.d, {k: F for k, F in self.chaos.items() if k in keep})
 
     def max_abs_coeff(self) -> float:
-        return max((float(np.max(np.abs(F.data), initial=0.0))
-                    for F in self.chaos.values()), default=0.0)
+        """The largest coefficient in size; NaN if any coefficient is NaN."""
+        return float(np.max([np.max(np.abs(F.data), initial=0.0)
+                             for F in self.chaos.values()], initial=0.0))
 
     # -- linear algebra -----------------------------------------------------------
 
@@ -144,9 +145,9 @@ class WickElement:
 
     @staticmethod
     def from_json(obj: dict) -> "WickElement":
-        if not (isinstance(obj, dict) and isinstance(obj.get("d"), int)
+        if not (isinstance(obj, dict) and type(obj.get("d")) is int and obj["d"] >= 1
                 and isinstance(obj.get("chaos"), dict)):
-            raise ValueError("an element must be a JSON object with an integer 'd' "
+            raise ValueError("an element must be a JSON object with a positive integer 'd' "
                              "and a 'chaos' object")
         chaos = {int(k): FockTensor.from_json(v) for k, v in obj["chaos"].items()}
         return WickElement(obj["d"], chaos)
@@ -216,28 +217,15 @@ def sum_chaos(d: int, terms) -> WickElement:
 def expand_field_product(fs, q: float) -> WickElement:
     """Wick expansion of the plain product of field operators.
 
-    Sums over all pairings of the leg set: a pairing with intertwining number
-    ``crb`` contributes ``q^crb · ∏ <f_s, f_t>`` times the chaos tensor of the
-    uncontracted legs.
+    The left fold of ``multiply`` over the chaos-1 elements of the vectors;
+    a zero vector gives the empty element.
     """
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    n = len(fs)
-    if n == 0:
+    if len(fs) == 0:
         raise ValueError("empty product")
-    gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
-
-    def terms():
-        for pairs, cr, sp in pairing_table((0,) * n, ONE_CLASS):
-            coeff = q ** (cr + sp)
-            for s, t in pairs:
-                coeff *= gram[s, t]
-            if coeff == 0.0:
-                continue
-            paired = {x for pair in pairs for x in pair}
-            free = [f for i, f in enumerate(fs) if i not in paired]
-            yield coeff * (FockTensor.from_vectors(free).data if free else np.asarray(1.0))
-
-    return sum_chaos(len(fs[0]), terms())
+    out = WickElement.from_vector(fs[0])
+    for f in fs[1:]:
+        out = multiply(out, WickElement.from_vector(f), q)
+    return out.trim()
 
 
 def _sum_moved(X: np.ndarray, moves) -> np.ndarray:

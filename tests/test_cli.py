@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import tracemalloc
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfock import jsonio, verify, wickalg
-from qfock.cli import MAX_TENSOR_ENTRIES, run
+from qfock import combinat, jsonio, verify, wickalg
+from qfock.cli import MAX_PAIRINGS, MAX_TENSOR_ENTRIES, run
 from qfock.polywick import quartic_2d_configs
 from qfock.wickalg import WickElement, expand_field_product, wick_product_vectors
 
@@ -38,6 +39,40 @@ def test_moment_golden_value(capsys):
                                      "--word", "eeee"])
     assert code == 0
     assert doc["outputs"]["value"] == 2.5
+
+
+def _refused_under_small_peak(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, doc, _ = _capture(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert doc["outputs"]["code"] == "ValueError"
+    assert str(MAX_PAIRINGS) in doc["outputs"]["message"]
+    assert peak < 2 ** 20
+
+
+def test_large_pairing_tables_are_refused_before_enumerating(capsys):
+    # --n 13 lists 568,504 pairings, and a 16-letter moment 15!! = 2,027,025
+    _refused_under_small_peak(capsys, ["pairings", "--n", "13"])
+    _refused_under_small_peak(capsys, ["pairings", "--n", "21", "--k", "5"])
+    _refused_under_small_peak(capsys, ["moment", "--q", "0.5", "--word", "ab" * 8])
+
+
+def test_largest_admitted_pairing_tables(monkeypatch, capsys):
+    # the guard passes --n 12 (140,152 pairings) and a 14-letter moment
+    # (13!! = 135,135); the enumerations themselves are stubbed out
+    monkeypatch.setattr(combinat, "pairing_table", lambda *_: ())
+    monkeypatch.setattr(wickalg, "moment", lambda *_: 1.0)
+    code, doc, _ = _capture(capsys, ["pairings", "--n", "12"])
+    assert code == 0 and doc["outputs"]["count"] == 0
+    code, doc, _ = _capture(capsys, ["moment", "--q", "0.5", "--word", "ab" * 7])
+    assert code == 0 and doc["outputs"]["value"] == 1.0
+    # an odd word lists no pairings, so no length is refused
+    code, _, _ = _capture(capsys, ["moment", "--q", "0.5", "--word", "a" * 41])
+    assert code == 0
 
 
 def test_cosets_command(capsys):
@@ -280,6 +315,69 @@ def test_verify_negative_q_grid(capsys):
     assert doc["outputs"]["passed"] is True
 
 
+@pytest.mark.parametrize("grid", ["nan", "7", ",", "", "inf", "-1.5,0", "0.5,nan", "x"])
+def test_verify_bad_q_grid_is_structured_error(grid, capsys):
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "commutation", "--q-grid", grid])
+    assert code == 2
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "commutation", "--chaos", "99"],
+    ["--suite", "chen", "--d", "3"],
+    ["--suite", "ito", "--d", "2"],
+    ["--suite", "counterterm", "--q-grid", "0.5"],
+    ["--suite", "bphz-constant", "--chaos", "1"],
+    ["--suite", "wick-oracle", "--d", "0"],
+    ["--suite", "wick-oracle", "--chaos", "-1"],
+])
+def test_verify_refuses_an_option_no_suite_reads_or_out_of_range(argv, capsys):
+    code, doc, _ = _capture(capsys, ["verify", *argv])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert set(doc["outputs"]) == {"code", "message"}
+
+
+def test_verify_suites_name_only_cli_options():
+    for suite in verify.SUITES.values():
+        assert set(inspect.signature(suite).parameters) <= {"seed", "q_grid", "d", "chaos"}
+
+
+def test_verify_forwards_chaos_zero(monkeypatch, capsys):
+    seen = []
+    real = verify._random_element
+
+    def recording(rng, d, max_chaos):
+        seen.append((d, max_chaos))
+        return real(rng, d, max_chaos)
+
+    monkeypatch.setattr(verify, "_random_element", recording)
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "wick-oracle", "--chaos", "0",
+                                     "--d", "3", "--q-grid", "0.5"])
+    assert code == 0
+    assert doc["inputs"]["chaos"] == 0
+    assert seen and set(seen) == {(3, 0)}
+
+
+def test_verify_seed_is_never_refused(capsys):
+    code, _, _ = _capture(capsys, ["verify", "--suite", "counterterm", "--seed", "3"])
+    assert code == 0
+
+
+def test_verify_nan_deviation_fails(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "oracle_deviation", lambda *_: float("nan"))
+    assert verify.suite_wick_oracle(q_grid=(0.5,))["passed"] is False
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "wick-oracle", "--q-grid", "0.5"])
+    assert code == 2
+    assert doc["status"] == "error"
+
+
+def test_verify_nan_margin_fails(monkeypatch):
+    monkeypatch.setattr(wickalg, "triple_norm", lambda *_: float("nan"))
+    check = verify.suite_norm_submult(q_grid=(0.5,))["checks"][0]
+    assert check["passed"] is False and check["violations"] == 200
+
+
 def test_verify_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("QFOCK_SEED", "99")
     code, doc, _ = _capture(capsys, ["verify", "--suite", "counterterm"])
@@ -328,6 +426,8 @@ def _chaos_one(coeffs):
     {"element": {"d": 2, "chaos": {"1": [1.0, 2.0]}}},
     {"element": [1.0, 2.0]},
     [1.0, 2.0],
+    {"element": {"d": -3, "chaos": {}}},
+    {"element": {"d": True, "chaos": {"1": {"d": 1, "degree": 1, "coeffs": []}}}},
 ])
 def test_norm_bad_tensor_is_structured_error(doc, tmp_path, capsys):
     path = tmp_path / "el.json"

@@ -482,6 +482,9 @@ def _tensor_doc(coeffs, d=2, degree=1):
     (_tensor_doc([], degree=-1), "nonnegative integer"),
     ([{"word": [0], "value": 1.0}], "JSON object"),
     ("tensor", "JSON object"),
+    # (d,) * degree would be a tuple too long to build
+    (_tensor_doc([], d=1, degree=65), "up to 64"),
+    (_tensor_doc([], d=1, degree=10 ** 400), "up to 64"),
 ])
 def test_tensor_from_json_rejects_malformed(doc, match):
     with pytest.raises(ValueError, match=match):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,26 @@ def test_levy_tensor_diagonal_weight_and_sides():
     assert F.data[0, 2] == 0.0  # outside [s, t)
     G = levy_area_tensor(0.25, 1.0, RIGHT, grid, diag_weight=0.5)
     assert np.allclose(G.data, F.data.T)
+
+
+def _levy_area_tensor_loop(s, t, side, grid, diag_weight):
+    """The kernel entry by entry, as a double loop over the cells of [s, t)."""
+    a, b = sorted((grid.cell_index(s), grid.cell_index(t)))
+    data = np.zeros((grid.cells, grid.cells))
+    for k in range(a, b):
+        data[k, k] = diag_weight * grid.dt
+        for l in range(k + 1, b):
+            data[k, l] = grid.dt
+    return data.T if side == RIGHT else data
+
+
+def test_levy_tensor_matches_the_loop_bit_for_bit():
+    grid = TimeGrid(1.0, 16)
+    spans = [(0.0, 1.0), (0.25, 0.25), (0.0, 0.0), (1.0, 1.0), (0.125, 0.6875), (0.9375, 1.0)]
+    for (s, t), side, w in itertools.product(spans, (LEFT, RIGHT), (0.0, 0.5)):
+        got = levy_area_tensor(s, t, side, grid, w).data
+        want = _levy_area_tensor_loop(s, t, side, grid, w)
+        assert got.tobytes() == want.tobytes(), (s, t, side, w)
 
 
 def test_levy_area_degenerate_interval():

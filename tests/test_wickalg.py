@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import Q_GRID, random_element, random_tensor
-from qfock.combinat import TABLE_CACHE_SIZE, Pairing, across_classes, pairing_table
-from qfock.fock import FockVector, TruncationError, operator_norm
+from qfock.combinat import ONE_CLASS, TABLE_CACHE_SIZE, Pairing, across_classes, pairing_table
+from qfock.fock import FockTensor, FockVector, TruncationError, operator_norm
 from qfock.polywick import InsertionPattern, restricted_wick
 from qfock.wickalg import (WickElement, delta_q, expand_field_product, moment, multiply,
                            norm_constants, sum_chaos, to_operator, triple_norm,
@@ -64,6 +65,18 @@ def test_wick_product_scalar_case():
     assert one.support() == (0,)
 
 
+def test_nan_coefficient_never_reads_as_zero():
+    A = WickElement(2, {0: FockTensor.scalar(2, 0.0), 1: FockTensor(2, [np.nan, 0.0])})
+    assert math.isnan(A.max_abs_coeff())
+    assert not A.allclose(WickElement.zero(2))
+    assert A.support() == (1,)
+    assert sorted(A.trim().chaos) == [1]
+    finite = WickElement(2, {0: FockTensor.scalar(2, 0.0), 1: FockTensor(2, [-3.0, 0.0])})
+    assert finite.max_abs_coeff() == 3.0
+    assert finite.support() == (1,) and sorted(finite.trim().chaos) == [1]
+    assert WickElement.zero(2).max_abs_coeff() == 0.0
+
+
 def test_wick_square_as_operator(rng):
     # degree-2 product equals the field square minus the scalar contraction
     d, N = 2, 3
@@ -110,6 +123,49 @@ def test_expand_field_product_two_and_three(rng):
         assert np.allclose(three.coeff(1).data, expected1)
         assert np.allclose(three.coeff(3).data,
                            np.multiply.outer(np.multiply.outer(f, g), f3))
+
+
+def pairing_sum_expansion(fs, q):
+    """The product of fields as a sum over every pairing of the legs.
+
+    A pairing with intertwining number ``crb`` contributes ``q^crb · ∏ <f_s, f_t>``
+    times the tensor of its free legs.  Each coefficient is a ``math.fsum`` of
+    its terms.  Summed in plain floats, the 2620 terms at n = 9, d = 1, q = 1
+    drift by up to 3e-14 of the largest coefficient from the exact value (a
+    pairing count times the product of the scalars), where the fold of
+    ``multiply`` stays within 3e-16 of it.
+    """
+    fs = [np.asarray(f, dtype=float) for f in fs]
+    n, d = len(fs), len(fs[0])
+    terms: dict[int, list] = {}
+    for pairs, cr, sp in pairing_table((0,) * n, ONE_CLASS):
+        coeff = q ** (cr + sp) * math.prod(float(np.dot(fs[s], fs[t])) for s, t in pairs)
+        paired = {x for pair in pairs for x in pair}
+        free = [f for i, f in enumerate(fs) if i not in paired]
+        terms.setdefault(len(free), []).append(coeff * FockTensor.from_vectors(free).data
+                                               if free else np.asarray(coeff))
+    chaos = {k: FockTensor(d, np.reshape([math.fsum(c) for c in zip(*(t.ravel() for t in ts))],
+                                         (d,) * k))
+             for k, ts in terms.items()}
+    return WickElement(d, chaos).trim()
+
+
+@pytest.mark.parametrize("q", (0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0))
+def test_expand_field_product_matches_pairing_sum(q, rng):
+    for d in (1, 2, 3):
+        for n in range(1, 10):
+            fs = [rng.standard_normal(d) for _ in range(n)]
+            before = pairing_table.cache_info()
+            out = expand_field_product(fs, q)
+            assert pairing_table.cache_info() == before
+            ref = pairing_sum_expansion(fs, q)
+            assert out.support() == ref.support(), (d, n)
+            assert (out - ref).max_abs_coeff() <= 1e-14 * ref.max_abs_coeff(), (d, n)
+
+
+def test_expand_field_product_of_a_zero_vector_is_empty():
+    assert expand_field_product([np.zeros(3)], 0.5).chaos == {}
+    assert expand_field_product([np.zeros(3)] * 2, 0.5).chaos == {}
 
 
 def test_expand_field_product_matches_operator_product(rng):
@@ -451,7 +507,6 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
     pattern = InsertionPattern.from_string("LILIL")
 
     def read_tables(d, q):
-        expand_field_product([rng.standard_normal(d) for _ in range(5)], q)
         moment([rng.standard_normal(d) for _ in range(6)], q)
         restricted_wick(pattern, Pairing.empty(pattern.leg_context()),
                         random_tensor(rng, d, 3),
@@ -464,6 +519,7 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
         read_tables(d, q)
     after = pairing_table.cache_info()
     assert after.misses == misses
-    # the product reads no table at all
+    # the product and the expansion read no table at all
     multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
+    expand_field_product([rng.standard_normal(2) for _ in range(5)], 0.5)
     assert pairing_table.cache_info() == after
