@@ -58,10 +58,17 @@ def _q_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _refuse_large_table(count: int) -> None:
-    """Refuse, before enumerating, a pairing table longer than ``MAX_PAIRINGS``."""
+def _refuse_large_table(count: int, rows: str = "pairings") -> None:
+    """Refuse, before enumerating, a table of more than ``MAX_PAIRINGS`` rows."""
     if count > MAX_PAIRINGS:
-        raise ValueError(f"the table would list {count} pairings, more than {MAX_PAIRINGS}")
+        raise ValueError(f"the table would list {count} {rows}, more than {MAX_PAIRINGS}")
+
+
+def _refuse_large_tensor(d: int, degree: int) -> None:
+    """Refuse, before building it, a ``(d,)*degree`` tensor of more than
+    ``MAX_TENSOR_ENTRIES`` entries; ``d**degree`` is not formed for a huge degree."""
+    if (d > 1 and degree >= MAX_TENSOR_ENTRIES.bit_length()) or d ** degree > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
 
 
 def _vectors(doc: dict) -> list:
@@ -106,6 +113,8 @@ def _cmd_pairings(args, _seed):
 
 
 def _cmd_cosets(args, _seed):
+    if 0 <= args.k <= args.n:  # coset_reps refuses any other k
+        _refuse_large_table(math.comb(args.n, args.k), "representatives")
     reps = combinat.coset_reps(args.n, args.k)
     return {"count": len(reps),
             "reps": [{"perm": list(r.permutation), "inversions": r.inversions}
@@ -130,8 +139,7 @@ def _cmd_wick_expand(args, _seed):
     if doc is None:
         raise ValueError("--input with {'vectors': [...]} required")
     vectors = _vectors(doc)
-    if len(vectors[0]) ** len(vectors) > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
+    _refuse_large_tensor(len(vectors[0]), len(vectors))
     return {"element": wickalg.expand_field_product(vectors, args.q).to_json()}
 
 
@@ -200,20 +208,26 @@ def _grid_from_args(args) -> qsde.TimeGrid:
     return qsde.TimeGrid(args.horizon, args.cells)
 
 
-def _cmd_levy(args, _seed):
-    grid = _grid_from_args(args)
+def _inserted_element(args, grid) -> wickalg.WickElement:
+    """The operator ``a`` of ``levy`` and ``chen`` (default 1), refused when the
+    insertion product's top tensor, of degree 2 + its top chaos, is too large."""
     doc = _read_input(args)
     a = (wickalg.WickElement.from_json(doc["a"]) if doc
          else wickalg.WickElement.one(grid.cells))
+    _refuse_large_tensor(grid.cells, 2 + a.max_degree())
+    return a
+
+
+def _cmd_levy(args, _seed):
+    grid = _grid_from_args(args)
+    a = _inserted_element(args, grid)
     el = qsde.levy_area(a, args.s, args.t, args.side, grid, args.q, args.diag_weight)
     return {"element": el.to_json()}
 
 
 def _cmd_chen(args, _seed):
     grid = _grid_from_args(args)
-    doc = _read_input(args)
-    a = (wickalg.WickElement.from_json(doc["a"]) if doc
-         else wickalg.WickElement.one(grid.cells))
+    a = _inserted_element(args, grid)
     r = qsde.chen_residual(args.s, args.u, args.t, a, args.side, grid,
                            args.q, args.diag_weight)
     return {"max_abs_coeff": r.max_abs_coeff()}
@@ -227,6 +241,7 @@ def _cmd_bphz(args, _seed):
 
 def _cmd_ito(args, _seed):
     grid = _grid_from_args(args)
+    _refuse_large_tensor(grid.cells, args.p)  # the top chaos of X^p
     return qsde.ito_residual(args.p, args.t, grid, args.q)
 
 
@@ -327,6 +342,15 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
+def _text_non_finite(obj):
+    """A failed report with each non-finite metric as text, since JSON has none."""
+    if isinstance(obj, dict):
+        return {key: _text_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_text_non_finite(value) for value in obj]
+    return str(obj) if _non_finite(obj) else obj
+
+
 def _check_inputs(args) -> None:
     for key, value in vars(args).items():
         if _non_finite(value):
@@ -372,7 +396,7 @@ def run(argv) -> int:
         exit_code = 0
         if args.command == "verify" and not outputs.get("passed", False):
             status = "error"
-            outputs = {"code": "verification-failed", **outputs}
+            outputs = {"code": "verification-failed", **_text_non_finite(outputs)}
             exit_code = 2
         # rendering raises on a non-finite result, which is reported like any error
         text = _document(args, outputs, status, start)

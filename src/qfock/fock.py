@@ -1,13 +1,16 @@
 """Exact finite-dimensional q-Fock space: graded tensors, the q-symmetrizer,
-creation/annihilation/field operators, Wick blocks, and exact operator norms.
+Wick operators (creation, annihilation and the field among them), and exact
+operator norms.
 
 Everything acts on the truncated Fock space ``⊕_{k<=N} H^{⊗k}`` over a real
 ``d``-dimensional one-particle space.  Operators track on which input sectors
 they are *exact* (no intermediate result ever leaves the truncation); applying
 an operator outside its exact range raises ``TruncationError`` instead of
 silently truncating.  Sector blocks are materialised lazily and cached, since
-a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  All Wick
-blocks of an element come from one pass of a stacked annihilation per sector.
+a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  Every
+operator is built by one Wick assembly: all Wick blocks of an element come
+from one pass of a stacked annihilation per sector, and creation,
+annihilation, the field and the identity are Wick operators of chaos 0 or 1.
 """
 from __future__ import annotations
 
@@ -346,62 +349,6 @@ class TruncatedOperator:
 # ---------------------------------------------------------------------------
 
 
-def identity_operator(d: int, cutoff: int, scalar: float = 1.0) -> TruncatedOperator:
-    out_map = {k: (k,) for k in range(cutoff + 1)}
-
-    def maker(k):
-        return {k: scalar * np.eye(d ** k)}
-
-    return TruncatedOperator(d, cutoff, out_map, maker)
-
-
-def _creation_block(f: np.ndarray, k: int) -> np.ndarray:
-    return np.kron(f.reshape(-1, 1), np.eye(len(f) ** k))
-
-
-def _annihilation_block(f: np.ndarray, q: float, k: int) -> np.ndarray:
-    # X ↦ Σ_i q^{i-1} <f, X_i> · (X without factor i)
-    d = len(f)
-    out = np.zeros((d ** (k - 1), d ** k))
-    for i in range(1, k + 1):
-        term = np.kron(np.kron(np.eye(d ** (i - 1)), f.reshape(1, -1)),
-                       np.eye(d ** (k - i)))
-        out += q ** (i - 1) * term
-    return out
-
-
-def creation(f, cutoff: int) -> TruncatedOperator:
-    """Prepend ``f``: sector k -> k+1; exact strictly below the cutoff."""
-    f = np.asarray(f, dtype=float)
-    d = len(f)
-    out_map = {k: (k + 1,) for k in range(cutoff)}
-
-    def maker(k):
-        return {k + 1: _creation_block(f, k)}
-
-    return TruncatedOperator(d, cutoff, out_map, maker)
-
-
-def annihilation(f, q: float, cutoff: int) -> TruncatedOperator:
-    """Contract with ``f`` at position i, weighted ``q^{i-1}``; kills the vacuum."""
-    f = np.asarray(f, dtype=float)
-    d = len(f)
-    out_map: dict[int, tuple[int, ...]] = {0: ()}
-    out_map.update({k: (k - 1,) for k in range(1, cutoff + 1)})
-
-    def maker(k):
-        if k == 0:
-            return {}
-        return {k - 1: _annihilation_block(f, q, k)}
-
-    return TruncatedOperator(d, cutoff, out_map, maker)
-
-
-def field_operator(f, q: float, cutoff: int) -> TruncatedOperator:
-    """The self-adjoint noise field: creation plus annihilation."""
-    return creation(f, cutoff) + annihilation(f, q, cutoff)
-
-
 def _shuffle_weighted_tensor(F: np.ndarray, a: int, q: float) -> np.ndarray:
     """Sum of axis-splits of F into ``a`` creation and ``n-a`` annihilation slots.
 
@@ -488,6 +435,28 @@ def wick_block_matrix(k: int, ell: int, F: FockTensor, q: float, cutoff: int) ->
     if F.degree != k + ell:
         raise ValueError(f"tensor degree {F.degree} != k+ell = {k + ell}")
     return _wick_assembly(F.d, [(F.data, ell)], q, cutoff)
+
+
+def identity_operator(d: int, cutoff: int, scalar: float = 1.0) -> TruncatedOperator:
+    """``scalar·Id``, the chaos-0 Wick operator; exact on every sector."""
+    return wick_operator(d, {0: scalar}, 0.0, cutoff)
+
+
+def creation(f, cutoff: int) -> TruncatedOperator:
+    """The Wick block ``a†(f)``: prepend f, sector k -> k+1; exact below the cutoff."""
+    f = np.asarray(f, dtype=float)
+    return _wick_assembly(len(f), [(f, 0)], 0.0, cutoff)
+
+
+def annihilation(f, q: float, cutoff: int) -> TruncatedOperator:
+    """The Wick block ``a_q(f)``: contract f at slot i with weight ``q^{i-1}``; kills Ω."""
+    f = np.asarray(f, dtype=float)
+    return _wick_assembly(len(f), [(f, 1)], q, cutoff)
+
+
+def field_operator(f, q: float, cutoff: int) -> TruncatedOperator:
+    """The self-adjoint noise field ``W(f) = a†(f) + a_q(f)``, the chaos-1 Wick operator."""
+    return wick_operator(len(f), {1: f}, q, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfock import combinat, jsonio, verify, wickalg
+from qfock import combinat, jsonio, qsde, verify, wickalg
 from qfock.cli import MAX_PAIRINGS, MAX_TENSOR_ENTRIES, run
 from qfock.polywick import quartic_2d_configs
 from qfock.wickalg import WickElement, expand_field_product, wick_product_vectors
@@ -41,7 +41,7 @@ def test_moment_golden_value(capsys):
     assert doc["outputs"]["value"] == 2.5
 
 
-def _refused_under_small_peak(capsys, argv):
+def _refused_under_small_peak(capsys, argv, limit=MAX_PAIRINGS):
     tracemalloc.start()
     try:
         code, doc, _ = _capture(capsys, argv)
@@ -50,7 +50,7 @@ def _refused_under_small_peak(capsys, argv):
         tracemalloc.stop()
     assert code == 2
     assert doc["outputs"]["code"] == "ValueError"
-    assert str(MAX_PAIRINGS) in doc["outputs"]["message"]
+    assert str(limit) in doc["outputs"]["message"]
     assert peak < 2 ** 20
 
 
@@ -73,6 +73,52 @@ def test_largest_admitted_pairing_tables(monkeypatch, capsys):
     # an odd word lists no pairings, so no length is refused
     code, _, _ = _capture(capsys, ["moment", "--q", "0.5", "--word", "a" * 41])
     assert code == 0
+
+
+def test_large_coset_tables_are_refused_before_enumerating(capsys):
+    # C(21, 10) = 352,716 and C(30, 15) = 155,117,520 representatives
+    _refused_under_small_peak(capsys, ["cosets", "--n", "21", "--k", "10"])
+    _refused_under_small_peak(capsys, ["cosets", "--n", "30", "--k", "15"])
+
+
+def test_largest_admitted_coset_table(monkeypatch, capsys):
+    # C(20, 10) = 184,756 representatives pass the guard; the enumeration is stubbed out
+    monkeypatch.setattr(combinat, "coset_reps", lambda *_: [])
+    code, doc, _ = _capture(capsys, ["cosets", "--n", "20", "--k", "10"])
+    assert code == 0 and doc["outputs"]["count"] == 0
+
+
+def test_large_rough_path_tensors_are_refused_before_building(tmp_path, capsys):
+    # ito builds X^p, with a (cells,)*p top chaos: 65^4 and 257^3 entries,
+    # and 2 GiB per chaos-4 tensor at 128 cells; at --p 10^9 the guard must
+    # not form 2^(10^9) either
+    for p, cells in [(4, 65), (3, 257), (4, 128), (4, 10 ** 9), (10 ** 9, 2)]:
+        _refused_under_small_peak(capsys, ["ito", "--p", str(p), "--cells", str(cells)],
+                                  MAX_TENSOR_ENTRIES)
+    # levy and chen build a (cells,)*(2 + top chaos of a) tensor: 4097^2 entries
+    # for the default a = 1, and 257^3 for a chaos-1 a
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"a": WickElement.from_vector(np.eye(257)[0]).to_json()}))
+    for cells, extra in [(4097, []), (257, ["--input", str(path)])]:
+        span = ["--s", "0", "--t", "1", "--cells", str(cells), *extra]
+        _refused_under_small_peak(capsys, ["levy", *span], MAX_TENSOR_ENTRIES)
+        _refused_under_small_peak(capsys, ["chen", "--u", "1", *span], MAX_TENSOR_ENTRIES)
+
+
+def test_largest_admitted_rough_path_tensors(monkeypatch, tmp_path, capsys):
+    # 64^4 = 256^3 = 4096^2 = 2^24 entries pass the guards; the computations are stubbed out
+    monkeypatch.setattr(qsde, "ito_residual", lambda *_: {"stub": True})
+    monkeypatch.setattr(qsde, "levy_area", lambda *_: WickElement.one(1))
+    monkeypatch.setattr(qsde, "chen_residual", lambda *_: WickElement.one(1))
+    for p, cells in [(4, 64), (3, 256)]:
+        code, doc, _ = _capture(capsys, ["ito", "--p", str(p), "--cells", str(cells)])
+        assert code == 0 and doc["outputs"] == {"stub": True}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"a": WickElement.from_vector(np.eye(256)[0]).to_json()}))
+    for cells, extra in [(4096, []), (256, ["--input", str(path)])]:
+        span = ["--s", "0", "--t", "1", "--cells", str(cells), *extra]
+        assert _capture(capsys, ["levy", *span])[0] == 0
+        assert _capture(capsys, ["chen", "--u", "1", *span])[0] == 0
 
 
 def test_cosets_command(capsys):
@@ -370,6 +416,11 @@ def test_verify_nan_deviation_fails(monkeypatch, capsys):
     code, doc, _ = _capture(capsys, ["verify", "--suite", "wick-oracle", "--q-grid", "0.5"])
     assert code == 2
     assert doc["status"] == "error"
+    # the failed report is rendered, with the NaN metric as text
+    assert doc["outputs"]["code"] == "verification-failed"
+    (check,) = doc["outputs"]["suites"][0]["checks"]
+    assert check["name"] == "product-vs-matrix-oracle" and check["passed"] is False
+    assert check["max_deviation"] == "nan"
 
 
 def test_verify_nan_margin_fails(monkeypatch):

@@ -287,18 +287,50 @@ def test_q_block_norm_in_twisted_metric(rng):
 #
 # The reference assembles one Wick block per TruncatedOperator, one
 # annihilation word at a time: a kron of the word's shuffle-weighted
-# coefficients with the identity, times the word's matrix from ``annihilation``.
-# An element is the sum of such operators.  It shares no code with the
-# stacked-annihilation maker, so it checks that maker independently.
+# coefficients with the identity, times the word's product of kron
+# annihilation blocks.  An element is the sum of such operators.  The
+# creation, annihilation, field and identity references are the kron blocks
+# alone.  None of them shares code with the stacked-annihilation maker, so
+# they check that maker independently.
 
 ASSEMBLY_Q = (-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
+
+
+def _kron_creation_block(f, k):
+    return np.kron(f.reshape(-1, 1), np.eye(len(f) ** k))
+
+
+def _kron_annihilation_block(f, q, k):
+    # X ↦ Σ_i q^{i-1} <f, X_i> · (X without factor i)
+    d = len(f)
+    out = np.zeros((d ** (k - 1), d ** k))
+    for i in range(1, k + 1):
+        out += q ** (i - 1) * np.kron(np.kron(np.eye(d ** (i - 1)), f.reshape(1, -1)),
+                                      np.eye(d ** (k - i)))
+    return out
+
+
+def reference_creation(f, cutoff):
+    return TruncatedOperator(len(f), cutoff, {k: (k + 1,) for k in range(cutoff)},
+                             lambda k: {k + 1: _kron_creation_block(f, k)})
+
+
+def reference_annihilation(f, q, cutoff):
+    out_map = {0: (), **{k: (k - 1,) for k in range(1, cutoff + 1)}}
+    return TruncatedOperator(len(f), cutoff, out_map,
+                             lambda k: {k - 1: _kron_annihilation_block(f, q, k)} if k else {})
+
+
+def reference_identity(d, cutoff, scalar):
+    return TruncatedOperator(d, cutoff, {k: (k,) for k in range(cutoff + 1)},
+                             lambda k: {k: scalar * np.eye(d ** k)})
 
 
 def _reference_word_matrix(d, q, m, word):
     """``α(e_{w_1})…α(e_{w_b})`` on sector m; the rightmost letter acts first."""
     mat = np.eye(d ** m)
     for sector, letter in zip(range(m, 0, -1), reversed(word)):
-        mat = annihilation(np.eye(d)[letter], q, sector).block(sector)[sector - 1] @ mat
+        mat = _kron_annihilation_block(np.eye(d)[letter], q, sector) @ mat
     return mat
 
 
@@ -358,6 +390,18 @@ def test_wick_block_matrix_matches_per_word_reference(d, rng):
                                   reference_wick_block(n - ell, ell, F, q, cutoff))
 
 
+@pytest.mark.parametrize("d,cutoffs", [(1, [*range(6), 30]), (2, range(6)), (3, range(6))])
+def test_field_builders_match_kron_blocks(d, cutoffs, rng):
+    for cutoff, q in itertools.product(cutoffs, ASSEMBLY_Q):
+        f, scalar = rng.standard_normal(d), float(rng.standard_normal())
+        _assert_same_operator(creation(f, cutoff), reference_creation(f, cutoff))
+        _assert_same_operator(annihilation(f, q, cutoff), reference_annihilation(f, q, cutoff))
+        _assert_same_operator(field_operator(f, q, cutoff),
+                              reference_creation(f, cutoff) + reference_annihilation(f, q, cutoff))
+        _assert_same_operator(identity_operator(d, cutoff, scalar),
+                              reference_identity(d, cutoff, scalar))
+
+
 def test_assembly_handles_more_sectors_than_numpy_axes(rng):
     # a (d,)*m array has m axes, and numpy allows at most 64
     A = random_element(rng, 1, 2)
@@ -377,6 +421,11 @@ def test_matrix_route_imports_no_symbolic_module():
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"wickalg", "combinat", "polywick"}
     assert not hasattr(qfock.fock, "_ANN_WORD_CACHE")
+    # every operator comes from the one Wick assembly, with no kron product
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "kron"]
+    assert not hasattr(qfock.fock, "_creation_block")
+    assert not hasattr(qfock.fock, "_annihilation_block")
 
 
 # -- operator norms ----------------------------------------------------------------------

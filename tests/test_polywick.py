@@ -6,14 +6,14 @@ import pytest
 
 from conftest import random_element
 from qfock.combinat import Pairing, contraction_stats, enumerate_pairings
-from qfock.fock import FockTensor
-from qfock.polywick import (DeltaPolynomial, InsertionPattern,
+from qfock.fock import FockTensor, field_operator
+from qfock.polywick import (LEG, DeltaPolynomial, InsertionPattern,
                             counterterm_monomial, counterterm_polynomial,
                             delta_R, disentangle_check,
                             quartic_2d_configs, quartic_3d_configs,
                             restricted_wick)
 from qfock.wickalg import (WickElement, expand_field_product, multiply,
-                           norm_constants, triple_norm)
+                           norm_constants, to_operator, triple_norm)
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,6 +263,29 @@ def test_disentangle_other_shapes(pattern, rng):
     As = [random_element(rng, d, 2) for _ in range(pat.n_inserts + 2)]
     lhs, rhs = disentangle_check(pat, fs, As, q)
     assert lhs.allclose(rhs, 1e-9 * max(1.0, lhs.max_abs_coeff()))
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.5, 0.9])
+@pytest.mark.parametrize("pattern", ["LIL", "LLIL", "LILIL"])
+def test_disentangle_on_the_matrix_route(pattern, q, rng):
+    # A_0 ξ(f..) A_1 ξ(f..) … A_n composed as truncated operators against the
+    # operator of the symbolic right side; with chaos <= 1 throughout, both
+    # are exact on input sectors 0 and 1 at cutoff 8
+    d, cutoff = 2, 8
+    pat = InsertionPattern.from_string(pattern)
+    fs = [rng.standard_normal(d) for _ in pat.leg_slots]
+    As = [random_element(rng, d, 1) for _ in range(pat.n_inserts + 2)]
+    legs, ops = iter(fs), iter(As)
+    lhs = to_operator(next(ops), q, cutoff)
+    for slot in pat.slots:
+        lhs = lhs.compose(field_operator(next(legs), q, cutoff) if slot == LEG
+                          else to_operator(next(ops), q, cutoff))
+    lhs = lhs.compose(to_operator(next(ops), q, cutoff))
+    _, rhs = disentangle_check(pat, fs, As, q)
+    sectors = range(cutoff + 1)
+    want = to_operator(rhs, q, cutoff).restricted_matrix([0, 1], sectors)
+    got = lhs.restricted_matrix([0, 1], sectors)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- norm estimates --------------------------------------------------------------------
