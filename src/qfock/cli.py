@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from . import combinat, fock, jsonio, polywick, qsde, verify, wickalg
+from .fock import MAX_TENSOR_ENTRIES, refuse_large_tensor
 
 DEFAULT_SEED = 12345
-MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor wick-expand builds
 MAX_PAIRINGS = 1 << 18  # the largest table pairings and moment enumerate (n = 12 has 140,152)
 
 
@@ -62,13 +62,6 @@ def _refuse_large_table(count: int, rows: str = "pairings") -> None:
     """Refuse, before enumerating, a table of more than ``MAX_PAIRINGS`` rows."""
     if count > MAX_PAIRINGS:
         raise ValueError(f"the table would list {count} {rows}, more than {MAX_PAIRINGS}")
-
-
-def _refuse_large_tensor(d: int, degree: int) -> None:
-    """Refuse, before building it, a ``(d,)*degree`` tensor of more than
-    ``MAX_TENSOR_ENTRIES`` entries; ``d**degree`` is not formed for a huge degree."""
-    if (d > 1 and degree >= MAX_TENSOR_ENTRIES.bit_length()) or d ** degree > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
 
 
 def _vectors(doc: dict) -> list:
@@ -139,7 +132,7 @@ def _cmd_wick_expand(args, _seed):
     if doc is None:
         raise ValueError("--input with {'vectors': [...]} required")
     vectors = _vectors(doc)
-    _refuse_large_tensor(len(vectors[0]), len(vectors))
+    refuse_large_tensor(len(vectors[0]), len(vectors))
     return {"element": wickalg.expand_field_product(vectors, args.q).to_json()}
 
 
@@ -214,7 +207,7 @@ def _inserted_element(args, grid) -> wickalg.WickElement:
     doc = _read_input(args)
     a = (wickalg.WickElement.from_json(doc["a"]) if doc
          else wickalg.WickElement.one(grid.cells))
-    _refuse_large_tensor(grid.cells, 2 + a.max_degree())
+    refuse_large_tensor(grid.cells, 2 + a.max_degree())
     return a
 
 
@@ -241,7 +234,7 @@ def _cmd_bphz(args, _seed):
 
 def _cmd_ito(args, _seed):
     grid = _grid_from_args(args)
-    _refuse_large_tensor(grid.cells, args.p)  # the top chaos of X^p
+    refuse_large_tensor(grid.cells, args.p)  # the top chaos of X^p
     return qsde.ito_residual(args.p, args.t, grid, args.q)
 
 

@@ -8,9 +8,10 @@ they are *exact* (no intermediate result ever leaves the truncation); applying
 an operator outside its exact range raises ``TruncationError`` instead of
 silently truncating.  Sector blocks are materialised lazily and cached, since
 a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  Every
-operator is built by one Wick assembly: all Wick blocks of an element come
-from one pass of a stacked annihilation per sector, and creation,
-annihilation, the field and the identity are Wick operators of chaos 0 or 1.
+operator is a Wick assembly or a composition of them: all Wick blocks of an
+element come from one pass of a stacked annihilation per sector, and
+creation, annihilation, the field and the identity are Wick operators of
+chaos 0 or 1.  Sums and multiples are taken on ``restricted_matrix`` arrays.
 """
 from __future__ import annotations
 
@@ -21,8 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor built or parsed
+
+
 class TruncationError(ValueError):
     """An operation would need sectors beyond the truncation cutoff."""
+
+
+def refuse_large_tensor(d: int, degree: int) -> None:
+    """Refuse, before building it, a ``(d,)*degree`` tensor of more than
+    ``MAX_TENSOR_ENTRIES`` entries; ``d**degree`` is not formed for a huge degree."""
+    if (d > 1 and degree >= MAX_TENSOR_ENTRIES.bit_length()) or d ** degree > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +130,7 @@ class FockTensor:
                              f"got {degree!r}")
         if not isinstance(coeffs, list) or not all(isinstance(e, dict) for e in coeffs):
             raise ValueError("tensor 'coeffs' must be a list of objects")
+        refuse_large_tensor(d, degree)
         t = FockTensor.zeros(d, degree)
         seen = set()
         for entry in coeffs:
@@ -158,12 +170,6 @@ class FockVector:
 
     def sector(self, k: int) -> np.ndarray:
         return self.sectors.get(k, np.zeros((self.d,) * k))
-
-    def fq_inner(self, other: "FockVector", q: float) -> float:
-        tot = 0.0
-        for k in sorted(set(self.sectors) & set(other.sectors)):
-            tot += float(np.vdot(self.sectors[k], pq_apply(other.sectors[k], q)))
-        return tot
 
 
 # ---------------------------------------------------------------------------
@@ -265,35 +271,6 @@ class TruncatedOperator:
                 add = flat.reshape((self.d,) * k_out)
                 out[k_out] = out.get(k_out, 0.0) + add
         return FockVector(self.d, out)
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        a, b = self, other
-
-        def maker(k):
-            out: dict[int, np.ndarray] = {}
-            for src in (a, b):
-                for k_out, mat in src.block(k).items():
-                    out[k_out] = out.get(k_out, 0.0) + mat
-            return out
-
-        out_map = {k: tuple(sorted(set(a.out_map[k]) | set(b.out_map[k])))
-                   for k in sorted(a.exact_sectors & b.exact_sectors)}
-        return TruncatedOperator(self.d, min(self.cutoff, other.cutoff), out_map, maker)
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self + other.scale(-1.0)
-
-    def scale(self, c: float) -> "TruncatedOperator":
-        base = self
-
-        def maker(k):
-            return {k_out: c * mat for k_out, mat in base.block(k).items()}
-
-        return TruncatedOperator(self.d, self.cutoff, dict(self.out_map), maker)
 
     def compose(self, inner: "TruncatedOperator") -> "TruncatedOperator":
         """The product self∘inner (inner applied first)."""

@@ -15,12 +15,13 @@ chaos-scaling map Δ.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from .combinat import IndexSet, Pairing, across_classes, enumerate_pairings, pairing_table
 from .fock import FockTensor
-from .wickalg import WickElement, multiply, sum_chaos
+from .wickalg import WickElement, delta_q, multiply, sum_chaos
 
 LEG = "leg"
 INSERT = "insert"
@@ -258,18 +259,11 @@ class DeltaPolynomial:
             out[key] = out.get(key, 0) + c
         return DeltaPolynomial(out)
 
-    def add_monomial(self, q_power: int, delta_power: int, count: int = 1) -> "DeltaPolynomial":
-        return self + DeltaPolynomial({(q_power, delta_power): count})
-
     def evaluate(self, q: float, delta: float) -> float:
         return sum(c * q ** a * delta ** b for (a, b), c in self.coeffs.items())
 
-    def total_count(self) -> int:
-        return sum(self.coeffs.values())
-
     def apply(self, A: WickElement, q: float) -> WickElement:
         """Evaluate at (q, Δ_q) and act on a Wick expansion."""
-        from .wickalg import delta_q
         out = WickElement.zero(A.d)
         for (a, b), c in sorted(self.coeffs.items()):
             term = A
@@ -292,11 +286,7 @@ class DeltaPolynomial:
 
 def counterterm_polynomial(configs) -> DeltaPolynomial:
     """Sum the monomials of a list of ``(n_legs, insert_positions, pairing)``."""
-    out = DeltaPolynomial()
-    for n_legs, inserts, pi in configs:
-        a, b = counterterm_monomial(n_legs, inserts, pi)
-        out = out.add_monomial(a, b)
-    return out
+    return DeltaPolynomial(Counter(counterterm_monomial(*config) for config in configs))
 
 
 def quartic_2d_configs() -> list:

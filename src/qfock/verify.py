@@ -41,10 +41,10 @@ def suite_commutation(seed=0, q_grid=DEFAULT_Q_GRID, d=3):
         for _ in range(20):
             f = rng.standard_normal(d)
             g = rng.standard_normal(d)
-            lhs = fock.annihilation(f, q, 5).compose(fock.creation(g, 5)) \
-                - fock.creation(g, 5).compose(fock.annihilation(f, q, 5)).scale(q)
-            sectors = sorted(lhs.exact_sectors)
-            mat = lhs.restricted_matrix(sectors, sectors)
+            ac = fock.annihilation(f, q, 5).compose(fock.creation(g, 5))
+            ca = fock.creation(g, 5).compose(fock.annihilation(f, q, 5))
+            s = sorted(ac.exact_sectors & ca.exact_sectors)
+            mat = ac.restricted_matrix(s, s) - q * ca.restricted_matrix(s, s)
             target = float(np.dot(f, g)) * np.eye(mat.shape[0])
             worst = _worse(worst, np.max(np.abs(mat - target)))
     checks = [_check("commutation-relation", worst <= 1e-12, max_deviation=worst)]

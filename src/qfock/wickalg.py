@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import ONE_CLASS, pairing_table
-from .fock import (FockTensor, TruncatedOperator, TruncationError, field_operator,
-                   identity_operator, wick_operator)
+from .fock import FockTensor, TruncatedOperator, TruncationError, wick_operator
 
 
 @dataclass(frozen=True)
@@ -165,41 +164,12 @@ def wick_product_vectors(fs, q: float) -> WickElement:
     """The pure chaos element with coefficient ``f_1 ⊗ ... ⊗ f_n``.
 
     By uniqueness of the Wick expansion this *is* the n-fold Wick product of
-    the given vectors; the recursive operator realisation used to cross-check
-    it is ``wick_product_recursive_operator``.
+    the given vectors, at every q; ``q`` is not read.
     """
     fs = [np.asarray(f, dtype=float) for f in fs]
     if not fs:
         raise ValueError("need at least one vector (use WickElement.one for scalars)")
     return WickElement.from_tensor(FockTensor.from_vectors(fs))
-
-
-def wick_product_recursive_operator(fs, q: float, cutoff: int) -> TruncatedOperator:
-    """Matrix realisation of the n-fold Wick product by its defining recursion.
-
-    Peels the leftmost vector: the degree-n product equals the field operator
-    of ``f_1`` times the degree-(n-1) product, minus the ``q``-weighted
-    contractions of ``f_1`` against each later slot.
-    """
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    d = len(fs[0])
-    n = len(fs)
-    if n == 0:
-        return identity_operator(d, cutoff)
-    if n == 1:
-        return field_operator(fs[0], q, cutoff)
-    head, rest = fs[0], fs[1:]
-    out = field_operator(head, q, cutoff).compose(
-        wick_product_recursive_operator(rest, q, cutoff))
-    for i in range(1, n):
-        inner = rest[:i - 1] + rest[i:]
-        coeff = q ** (i - 1) * float(np.dot(head, rest[i - 1]))
-        if coeff == 0.0:
-            continue
-        sub = (wick_product_recursive_operator(inner, q, cutoff)
-               if inner else identity_operator(d, cutoff))
-        out = out - sub.scale(coeff)
-    return out
 
 
 def sum_chaos(d: int, terms) -> WickElement:

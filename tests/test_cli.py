@@ -105,6 +105,20 @@ def test_large_rough_path_tensors_are_refused_before_building(tmp_path, capsys):
         _refused_under_small_peak(capsys, ["chen", "--u", "1", *span], MAX_TENSOR_ENTRIES)
 
 
+def test_large_parsed_tensors_are_refused_before_allocating(tmp_path, capsys):
+    # a few bytes of JSON name 4097^2 or 1024^3 entries; the parser refuses
+    # them before allocating the dense array, whatever the command
+    for d, degree in [(4097, 2), (1024, 3)]:
+        tensor = {"d": d, "degree": degree, "coeffs": []}
+        element = {"d": d, "chaos": {str(degree): tensor}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"element": element, "a": element}))
+        _refused_under_small_peak(capsys, ["norm", "--q", "0.5", "--input", str(path)],
+                                  MAX_TENSOR_ENTRIES)
+        _refused_under_small_peak(capsys, ["levy", "--s", "0", "--t", "1", "--cells", "4",
+                                           "--input", str(path)], MAX_TENSOR_ENTRIES)
+
+
 def test_largest_admitted_rough_path_tensors(monkeypatch, tmp_path, capsys):
     # 64^4 = 256^3 = 4096^2 = 2^24 entries pass the guards; the computations are stubbed out
     monkeypatch.setattr(qsde, "ito_residual", lambda *_: {"stub": True})

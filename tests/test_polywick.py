@@ -387,7 +387,7 @@ def test_quartic_3d_polynomial():
     target = DeltaPolynomial({(0, 0): 3, (1, 0): 2, (0, 1): 4, (1, 1): 4,
                               (0, 2): 2, (1, 2): 3})
     assert poly == target
-    assert poly.total_count() == 18
+    assert sum(poly.coeffs.values()) == 18
     assert poly.evaluate(1.0, 1.0) == 18
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from conftest import Q_GRID, random_element, random_tensor
 from qfock.combinat import ONE_CLASS, TABLE_CACHE_SIZE, Pairing, across_classes, pairing_table
-from qfock.fock import FockTensor, FockVector, TruncationError, operator_norm
+from qfock.fock import (FockTensor, FockVector, TruncationError, field_operator,
+                        identity_operator, operator_norm)
 from qfock.polywick import InsertionPattern, restricted_wick
 from qfock.wickalg import (WickElement, delta_q, expand_field_product, moment, multiply,
                            norm_constants, sum_chaos, to_operator, triple_norm,
-                           vacuum_expectation, wick_product_recursive_operator,
-                           wick_product_vectors)
+                           vacuum_expectation, wick_product_vectors)
 
 
 # -- constants ----------------------------------------------------------------
@@ -83,13 +83,39 @@ def test_wick_square_as_operator(rng):
     for q in (-0.5, 0.0, 0.5):
         f, g = rng.standard_normal(d), rng.standard_normal(d)
         op = to_operator(wick_product_vectors([f, g], q), q, N)
-        from qfock.fock import field_operator, identity_operator
-        direct = field_operator(f, q, N).compose(field_operator(g, q, N)) \
-            - identity_operator(d, N, scalar=float(np.dot(f, g)))
-        secs = sorted(op.exact_sectors & direct.exact_sectors)
-        m1 = op.restricted_matrix(secs, list(range(N + 1)))
-        m2 = direct.restricted_matrix(secs, list(range(N + 1)))
+        square = field_operator(f, q, N).compose(field_operator(g, q, N))
+        scalar = identity_operator(d, N, scalar=float(np.dot(f, g)))
+        secs = sorted(op.exact_sectors & square.exact_sectors & scalar.exact_sectors)
+        outs = list(range(N + 1))
+        m1 = op.restricted_matrix(secs, outs)
+        m2 = square.restricted_matrix(secs, outs) - scalar.restricted_matrix(secs, outs)
         assert np.max(np.abs(m1 - m2)) <= 1e-12
+
+
+def recursive_wick_matrix(fs, q, N):
+    """The n-fold Wick product of the vectors by its defining recursion, as a
+    dense matrix on sectors 0..N.
+
+    Peels the leftmost vector: the product is the field of ``f_1`` times the
+    product of the rest, minus ``q^{i-1}<f_1, f_i>`` times the product without
+    ``f_1`` and ``f_i``, for each later slot i.  The fields are cut to sectors
+    0..N, so the result is exact on input sectors up to ``N - n``.
+    """
+    sectors = range(N + 1)
+    fields = [field_operator(f, q, N + 1).restricted_matrix(sectors, sectors) for f in fs]
+
+    def product(slots):
+        if not slots:
+            return np.eye(len(fields[0]))
+        head, rest = slots[0], slots[1:]
+        out = fields[head] @ product(rest)
+        for i, j in enumerate(rest):
+            coeff = q ** i * float(np.dot(fs[head], fs[j]))
+            if coeff:
+                out -= coeff * product(rest[:i] + rest[i + 1:])
+        return out
+
+    return product(tuple(range(len(fs))))
 
 
 def test_block_decomposition_matches_recursion(rng):
@@ -98,10 +124,11 @@ def test_block_decomposition_matches_recursion(rng):
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0, -1.0):
         for n in (1, 2, 3, 4):
             fs = [rng.standard_normal(d) for _ in range(n)]
-            rec = wick_product_recursive_operator(fs, q, N)
+            rec = recursive_wick_matrix(fs, q, N)
             blk = to_operator(wick_product_vectors(fs, q), q, N)
-            secs = sorted(rec.exact_sectors & blk.exact_sectors)
-            m1 = rec.restricted_matrix(secs, list(range(N + 1)))
+            secs = sorted(blk.exact_sectors)
+            assert secs == list(range(N - n + 1))
+            m1 = rec[:, :sum(d ** k for k in secs)]
             m2 = blk.restricted_matrix(secs, list(range(N + 1)))
             assert np.max(np.abs(m1 - m2)) <= 1e-10
 
