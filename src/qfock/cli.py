@@ -205,7 +205,9 @@ def _inserted_element(args, grid) -> wickalg.WickElement:
     """The operator ``a`` of ``levy`` and ``chen`` (default 1), refused when the
     insertion product's top tensor, of degree 2 + its top chaos, is too large."""
     doc = _read_input(args)
-    a = (wickalg.WickElement.from_json(doc["a"]) if doc
+    if doc is not None and "a" not in doc:
+        raise ValueError("the --input document must hold the inserted element under 'a'")
+    a = (wickalg.WickElement.from_json(doc["a"]) if doc is not None
          else wickalg.WickElement.one(grid.cells))
     refuse_large_tensor(grid.cells, 2 + a.max_degree())
     return a
@@ -234,7 +236,7 @@ def _cmd_bphz(args, _seed):
 
 def _cmd_ito(args, _seed):
     grid = _grid_from_args(args)
-    refuse_large_tensor(grid.cells, args.p)  # the top chaos of X^p
+    refuse_large_tensor(grid.cells, 1)  # only vectors are built at d = cells
     return qsde.ito_residual(args.p, args.t, grid, args.q)
 
 

@@ -4,6 +4,11 @@ The one-particle space is spanned by normalized cell indicators of a uniform
 grid, so increments of the q-Brownian motion are chaos-1 Wick elements and
 all identities (Chen, the one-step Ito residual) hold exactly in the symbolic
 algebra, up to floating-point summation.
+
+The Ito step involves only B_t and its increment, of disjoint supports, so it
+runs at dimension <= 2 in their orthonormal basis U: Γ(U) commutes with the Wick
+product and keeps chaos norms (Bożejko–Kümmerer–Speicher 1997).  Lévy areas and
+Chen residuals stay dense, since the ordered-square kernel has full rank.
 """
 from __future__ import annotations
 
@@ -83,6 +88,8 @@ def levy_area_tensor(s: float, t: float, side: str, grid: TimeGrid,
 def levy_area(a: WickElement, s: float, t: float, side: str, grid: TimeGrid,
               q: float, diag_weight: float = 0.0) -> WickElement:
     """Levy area with the operator ``a`` inserted between the two legs."""
+    if a.d != grid.cells:
+        raise ValueError(f"the inserted element has d = {a.d}; the grid has {grid.cells} cells")
     F = levy_area_tensor(s, t, side, grid, diag_weight)
     ones = WickElement.one(grid.cells)
     pi = Pairing.empty(_LEG_INSERT_LEG.leg_context())
@@ -168,21 +175,19 @@ def _powers(base: WickElement, n: int, q: float) -> list[WickElement]:
     return pows
 
 
-def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
-    """One-step residual data for the monomial x^p at time t.
+def _map_legs(A: WickElement, M: np.ndarray) -> WickElement:
+    """Apply the ``d_in × d_out`` matrix ``M`` to every leg of every chaos of ``A``."""
+    chaos = {}
+    for k, F in A.chaos.items():
+        X = F.data
+        for _ in range(k):  # each pass maps the first leg and appends it last
+            X = np.tensordot(X, M, axes=(0, 0))
+        chaos[k] = FockTensor(M.shape[1], X)
+    return WickElement(M.shape[1], chaos)
 
-    The residual subtracts the value increment and the noncommutative
-    first-derivative terms against the increment; the low-chaos part
-    (degrees 0..p-2) per unit time is what the renormalisation constant
-    predicts via ``2C · B^a Δ_q(B^b) B^c`` summed over second-derivative
-    splits, with C = 1/2 and the split pairs counted once ("unordered") or
-    twice ("ordered").
-    """
-    if p not in (2, 3, 4):
-        raise ValueError("polynomial degree must be 2, 3, or 4")
-    dt = grid.dt
-    B = qbm(0.0, t, grid, q)
-    D = qbm(t, t + dt, grid, q)
+
+def _ito_terms(p: int, B: WickElement, D: WickElement, q: float):
+    """The one-step residual and the unordered prediction, at the dimension of B and D."""
     X = B + D
     powX = _powers(X, p, q)
     powB = _powers(B, p, q)
@@ -191,30 +196,56 @@ def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
         residual = residual - multiply(multiply(powB[ell], D, q), powB[p - 1 - ell], q)
     residual = residual.trim()
 
-    pred_unordered = WickElement.zero(grid.cells)
+    pred_unordered = WickElement.zero(B.d)
     for r in range(1, p + 1):
         for s in range(r + 1, p + 1):
             mid = delta_q(powB[s - r - 1], q)
             pred_unordered = pred_unordered + multiply(
                 multiply(powB[r - 1], mid, q), powB[p - s], q)
-    pred_ordered = pred_unordered.scale(2.0)
+    return residual, pred_unordered
 
-    low = residual.chaos_part(range(p - 1))
+
+def _compressed_ito_terms(p: int, t: float, grid: TimeGrid, q: float):
+    """``_ito_terms`` in the orthonormal basis ``U`` of span{B, D} (no B at t = 0), and ``U``."""
+    if p not in (2, 3, 4):
+        raise ValueError("polynomial degree must be 2, 3, or 4")
+    B = qbm(0.0, t, grid, q)
+    D = qbm(t, t + grid.dt, grid, q)
+    U = np.stack([v / np.linalg.norm(v) for v in (B.coeff(1).data, D.coeff(1).data)
+                  if v.any()], axis=1)
+    return (*_ito_terms(p, _map_legs(B, U), _map_legs(D, U), q), U)
+
+
+def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
+    """One-step residual data for the monomial x^p at time t, at d = cells.
+
+    The residual subtracts the value increment and the noncommutative
+    first-derivative terms against the increment; the low-chaos part
+    (degrees 0..p-2) per unit time is what the renormalisation constant
+    predicts via ``2C · B^a Δ_q(B^b) B^c`` summed over second-derivative
+    splits, with C = 1/2 and the split pairs counted once ("unordered") or
+    twice ("ordered").  The algebra runs at dimension <= 2, expanded by U^T.
+    """
+    residual, pred, U = _compressed_ito_terms(p, t, grid, q)
+    residual = _map_legs(residual, U.T)
+    pred_unordered = _map_legs(pred, U.T)
     return {
         "residual": residual,
-        "low_chaos": low,
+        "low_chaos": residual.chaos_part(range(p - 1)),
         "pred_unordered": pred_unordered,
-        "pred_ordered": pred_ordered,
-        "dt": dt,
+        "pred_ordered": pred_unordered.scale(2.0),
+        "dt": grid.dt,
     }
 
 
 def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     """Residual-vs-prediction report across a dyadic sweep of grids.
 
-    The given grid is the finest; three dyadic coarsenings are added.  For
-    each grid the norm ``|||R_low - dt·prediction|||`` is recorded under the
-    convention that matches, and the log-log slope against dt is fitted.
+    The given grid is the finest; three dyadic coarsenings are added, and t
+    must be a point of each with t + dt within the horizon.  For each grid
+    the norm ``|||R_low - dt·prediction|||`` of the compressed terms (equal to
+    that at d = cells, U being an isometry) is recorded under the convention
+    that matches, and the log-log slope against dt is fitted.
 
     For p in {2, 3} the low-chaos window contains only the correction term
     plus an O(dt^{3/2}) remainder, so one convention matches cleanly.  For
@@ -225,16 +256,23 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     cells = [max(2, grid.cells // 8), max(2, grid.cells // 4),
              max(2, grid.cells // 2), grid.cells]
     cells = sorted(set(cells))
+    grids = [TimeGrid(grid.horizon, m) for m in cells]
+    for g in grids:  # every step needs t on its grid and t + dt within the horizon
+        try:
+            last = g.cell_index(t) == g.cells
+        except ValueError:
+            raise ValueError(f"t = {t} must be a point of every grid in the sweep {cells}, "
+                             f"but is off the {g.cells}-cell grid (step {g.dt})") from None
+        if last:
+            raise ValueError(f"t + dt = {t + g.dt} passes the horizon {g.horizon} "
+                             f"on the {g.cells}-cell grid in the sweep {cells}")
     mismatches = {"unordered": [], "ordered": []}
     norms = {"unordered": [], "ordered": []}
     scales = []
-    dts = []
-    for m in cells:
-        g = TimeGrid(grid.horizon, m)
-        step = ito_step(p, t, g, q)
-        dt = step["dt"]
-        dts.append(dt)
-        low, pu, po = step["low_chaos"], step["pred_unordered"], step["pred_ordered"]
+    dts = [g.dt for g in grids]
+    for g, dt in zip(grids, dts):
+        residual, pu, _ = _compressed_ito_terms(p, t, g, q)
+        low, po = residual.chaos_part(range(p - 1)), pu.scale(2.0)
         for name, pred in (("unordered", pu), ("ordered", po)):
             diff = low - pred.scale(dt)
             norms[name].append(triple_norm(diff, q))

@@ -42,6 +42,7 @@ def test_moment_golden_value(capsys):
 
 
 def _refused_under_small_peak(capsys, argv, limit=MAX_PAIRINGS):
+    """Exit 2 with a ValueError whose message holds ``str(limit)``, under a 1 MiB peak."""
     tracemalloc.start()
     try:
         code, doc, _ = _capture(capsys, argv)
@@ -89,12 +90,12 @@ def test_largest_admitted_coset_table(monkeypatch, capsys):
 
 
 def test_large_rough_path_tensors_are_refused_before_building(tmp_path, capsys):
-    # ito builds X^p, with a (cells,)*p top chaos: 65^4 and 257^3 entries,
-    # and 2 GiB per chaos-4 tensor at 128 cells; at --p 10^9 the guard must
-    # not form 2^(10^9) either
-    for p, cells in [(4, 65), (3, 257), (4, 128), (4, 10 ** 9), (10 ** 9, 2)]:
-        _refused_under_small_peak(capsys, ["ito", "--p", str(p), "--cells", str(cells)],
-                                  MAX_TENSOR_ENTRIES)
+    # ito builds vectors of cells entries only (its algebra runs at dimension <= 2);
+    # an unsupported degree is refused before any is built
+    _refused_under_small_peak(capsys, ["ito", "--cells", str(2 ** 24 + 1)],
+                              MAX_TENSOR_ENTRIES)
+    _refused_under_small_peak(capsys, ["ito", "--p", str(10 ** 9), "--cells", "2"],
+                              "polynomial degree must be 2, 3, or 4")
     # levy and chen build a (cells,)*(2 + top chaos of a) tensor: 4097^2 entries
     # for the default a = 1, and 257^3 for a chaos-1 a
     path = tmp_path / "a.json"
@@ -120,19 +121,46 @@ def test_large_parsed_tensors_are_refused_before_allocating(tmp_path, capsys):
 
 
 def test_largest_admitted_rough_path_tensors(monkeypatch, tmp_path, capsys):
-    # 64^4 = 256^3 = 4096^2 = 2^24 entries pass the guards; the computations are stubbed out
+    # 2^24 ito cells and 256^3 = 4096^2 = 2^24 entries pass the guards; the
+    # computations are stubbed out
     monkeypatch.setattr(qsde, "ito_residual", lambda *_: {"stub": True})
     monkeypatch.setattr(qsde, "levy_area", lambda *_: WickElement.one(1))
     monkeypatch.setattr(qsde, "chen_residual", lambda *_: WickElement.one(1))
-    for p, cells in [(4, 64), (3, 256)]:
-        code, doc, _ = _capture(capsys, ["ito", "--p", str(p), "--cells", str(cells)])
-        assert code == 0 and doc["outputs"] == {"stub": True}
+    code, doc, _ = _capture(capsys, ["ito", "--p", "4", "--cells", str(2 ** 24)])
+    assert code == 0 and doc["outputs"] == {"stub": True}
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"a": WickElement.from_vector(np.eye(256)[0]).to_json()}))
     for cells, extra in [(4096, []), (256, ["--input", str(path)])]:
         span = ["--s", "0", "--t", "1", "--cells", str(cells), *extra]
         assert _capture(capsys, ["levy", *span])[0] == 0
         assert _capture(capsys, ["chen", "--u", "1", *span])[0] == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": WickElement.one(3).to_json()},  # d = 3 at 4 cells
+    {"b": 1},
+    {},
+])
+@pytest.mark.parametrize("command", [["levy"], ["chen", "--u", "0.5"]])
+def test_inserted_element_is_checked(command, doc, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _capture(capsys, [*command, "--q", "0.5", "--s", "0", "--t", "1",
+                                     "--cells", "4", "--input", str(path)])
+    assert code == 2
+    assert out["outputs"]["code"] == "ValueError"
+    assert ("d = 3" if "a" in doc else "'a'") in out["outputs"]["message"]
+
+
+@pytest.mark.parametrize("t,message", [
+    ("1", "t + dt = 1.5 passes the horizon 1.0 on the 2-cell grid"),
+    ("0.3", "t = 0.3 must be a point of every grid in the sweep [2, 4, 8, 16]"),
+])
+def test_ito_endpoint_errors_name_the_sweep(t, message, capsys):
+    code, out, _ = _capture(capsys, ["ito", "--p", "3", "--cells", "16", "--t", t])
+    assert code == 2
+    assert out["outputs"]["code"] == "ValueError"
+    assert message in out["outputs"]["message"]
 
 
 def test_cosets_command(capsys):

@@ -1,14 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_element
+from conftest import Q_GRID, random_element
+from qfock import qsde
 from qfock.qsde import (LEFT, RIGHT, TimeGrid, bphz_constant, chen_residual,
                         ito_residual, ito_step, levy_area, levy_area_tensor,
                         qbm, quartic_bump, triangle_bump)
-from qfock.wickalg import (WickElement, multiply, triple_norm,
-                           vacuum_expectation)
+from qfock.wickalg import (WickElement, delta_q, multiply, norm_constants,
+                           triple_norm, vacuum_expectation)
 
 
 # -- the grid and increments ------------------------------------------------------
@@ -45,7 +47,6 @@ def test_qbm_covariance_is_min():
 
 def test_qbm_chaos_norm_closed_form():
     q = 0.5
-    from qfock.wickalg import norm_constants
     nc = norm_constants(q)
     grid = TimeGrid(1.0, 16)
     B = qbm(0.25, 1.0, grid, q)
@@ -136,6 +137,14 @@ def test_chen_identity(side, diag_weight, rng):
             assert r.max_abs_coeff() <= 1e-12
 
 
+def test_levy_area_refuses_a_mismatched_insertion():
+    grid = TimeGrid(1.0, 4)
+    for fn, args in [(levy_area, (WickElement.one(3), 0.0, 1.0, LEFT, grid, 0.5)),
+                     (chen_residual, (0.0, 0.5, 1.0, WickElement.one(3), LEFT, grid, 0.5))]:
+        with pytest.raises(ValueError, match="d = 3; the grid has 4 cells"):
+            fn(*args)
+
+
 def test_chen_requires_ordered_times(rng):
     grid = TimeGrid(1.0, 8)
     with pytest.raises(ValueError):
@@ -217,3 +226,80 @@ def test_ito_residual_square_report():
 def test_ito_rejects_unsupported_degree():
     with pytest.raises(ValueError):
         ito_step(5, 0.5, TimeGrid(1.0, 8), 0.5)
+
+
+def _dense_ito_step(p, t, grid, q):
+    """The one-step Ito algebra at d = cells, from ``qbm`` and ``multiply`` alone."""
+    B = qbm(0.0, t, grid, q)
+    D = qbm(t, t + grid.dt, grid, q)
+
+    def powers(base):
+        pows = [WickElement.one(grid.cells)]
+        for _ in range(p):
+            pows.append(multiply(pows[-1], base, q))
+        return pows
+
+    powX, powB = powers(B + D), powers(B)
+    residual = powX[p] - powB[p]
+    for ell in range(p):
+        residual = residual - multiply(multiply(powB[ell], D, q), powB[p - 1 - ell], q)
+    pred = WickElement.zero(grid.cells)
+    for r in range(1, p + 1):
+        for s in range(r + 1, p + 1):
+            mid = delta_q(powB[s - r - 1], q)
+            pred = pred + multiply(multiply(powB[r - 1], mid, q), powB[p - s], q)
+    return residual.trim(), pred
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_ito_step_matches_the_dense_algebra(p, q):
+    for cells, t in itertools.product((8, 16, 32), (0.0, 0.25, 0.5)):
+        step = ito_step(p, t, TimeGrid(1.0, cells), q)
+        residual, pred = _dense_ito_step(p, t, TimeGrid(1.0, cells), q)
+        for got, want in [(step["residual"], residual), (step["pred_unordered"], pred),
+                          (step["pred_ordered"], pred.scale(2.0)),
+                          (step["low_chaos"], residual.chaos_part(range(p - 1)))]:
+            assert got.d == cells
+            assert (got - want).max_abs_coeff() <= 1e-12, (cells, t)
+            assert triple_norm(got, q) == pytest.approx(triple_norm(want, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_ito_residual_matches_a_dense_report(p, q, monkeypatch):
+    # t = 0.25 is off the 2-cell grid that the 16-cell sweep starts from
+    grids = [(TimeGrid(1.0, cells), t)
+             for cells, t in [(16, 0.0), (16, 0.5), (32, 0.0), (32, 0.25), (32, 0.5)]]
+    compressed = [ito_residual(p, t, grid, q) for grid, t in grids]
+    monkeypatch.setattr(qsde, "_compressed_ito_terms",
+                        lambda *args: (*_dense_ito_step(*args), None))
+    for got, (grid, t) in zip(compressed, grids):
+        want = ito_residual(p, t, grid, q)
+        assert got["grids"] == want["grids"]
+        assert got["matched_convention"] == want["matched_convention"]
+        if p == 2:  # the low chaos is dt - dt·1: rounding noise, weighted C^{3/2} in the norm
+            noise = 1e-12 * norm_constants(q).C ** 1.5
+            assert max(got["residual_norms"] + want["residual_norms"]) <= noise
+        else:
+            assert got["residual_norms"] == pytest.approx(want["residual_norms"], rel=1e-12)
+            assert got["fit_slope"] == pytest.approx(want["fit_slope"], abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_ito_residual_builds_no_cells_squared_tensor(p):
+    tracemalloc.start()
+    try:
+        rep = ito_residual(p, 0.5, TimeGrid(1.0, 4096), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["grids"] == [512, 1024, 2048, 4096]
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("t,message", [(1.0, "passes the horizon"),
+                                       (0.3, "must be a point of every grid")])
+def test_ito_residual_refuses_a_step_off_the_sweep(t, message):
+    with pytest.raises(ValueError, match=message):
+        ito_residual(3, t, TimeGrid(1.0, 16), 0.5)
