@@ -50,6 +50,13 @@ def _read_input(args) -> dict | None:
     return None
 
 
+def _field(doc: dict, key: str):
+    """``doc[key]``; a document without it is refused by a ValueError that names the key."""
+    if key not in doc:
+        raise ValueError(f"the --input document must hold {key!r}")
+    return doc[key]
+
+
 def _q_grid(text: str) -> tuple[float, ...]:
     """The ``--q-grid`` values: at least one, each finite and in [-1, 1] like ``--q``."""
     grid = tuple(float(x) for x in text.split(",") if x.strip())
@@ -99,7 +106,7 @@ def _cmd_pairings(args, _seed):
     # a negative --k is left to pairing_table, which refuses it
     _refuse_large_table(sum(math.comb(args.n, 2 * k) * combinat.double_factorial_odd(k)
                             for k in ks if k >= 0))
-    table = combinat.pairing_table((0,) * args.n, combinat.ONE_CLASS, (), args.k)
+    table = combinat.pairing_table(tuple(range(args.n)), (), args.k)
     out = [{"pairs": [[s + 1, t + 1] for s, t in pairs], "cr": cr, "sp": sp, "crb": cr + sp}
            for pairs, cr, sp in table]
     return {"count": len(out), "pairings": out}
@@ -140,8 +147,8 @@ def _cmd_multiply(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'a': ..., 'b': ...} required")
-    A = wickalg.WickElement.from_json(doc["a"])
-    B = wickalg.WickElement.from_json(doc["b"])
+    A = wickalg.WickElement.from_json(_field(doc, "a"))
+    B = wickalg.WickElement.from_json(_field(doc, "b"))
     return {"element": wickalg.multiply(A, B, args.q).to_json()}
 
 
@@ -149,7 +156,7 @@ def _cmd_norm(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'element': ...} required")
-    A = wickalg.WickElement.from_json(doc["element"])
+    A = wickalg.WickElement.from_json(_field(doc, "element"))
     out = {"triple_norm": wickalg.triple_norm(A, args.q)}
     if args.cutoff is not None:
         op = wickalg.to_operator(A, args.q, args.cutoff)
@@ -163,9 +170,9 @@ def _cmd_delta_r(args, _seed):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input document required")
-    pattern = polywick.InsertionPattern.from_json(doc["pattern"])
-    F = fock.FockTensor.from_json(doc["f"])
-    pi, operators = doc.get("pi", []), doc["operators"]
+    pattern = polywick.InsertionPattern.from_json(_field(doc, "pattern"))
+    F = fock.FockTensor.from_json(_field(doc, "f"))
+    pi, operators = doc.get("pi", []), _field(doc, "operators")
     if not isinstance(operators, list) or not _is_int_pairs(pi):
         raise ValueError("'pi' must be a list of [s, t] index pairs and 'operators' a list")
     pi = combinat.Pairing(tuple(tuple(p) for p in pi), pattern.leg_context())
@@ -205,9 +212,7 @@ def _inserted_element(args, grid) -> wickalg.WickElement:
     """The operator ``a`` of ``levy`` and ``chen`` (default 1), refused when the
     insertion product's top tensor, of degree 2 + its top chaos, is too large."""
     doc = _read_input(args)
-    if doc is not None and "a" not in doc:
-        raise ValueError("the --input document must hold the inserted element under 'a'")
-    a = (wickalg.WickElement.from_json(doc["a"]) if doc is not None
+    a = (wickalg.WickElement.from_json(_field(doc, "a")) if doc is not None
          else wickalg.WickElement.one(grid.cells))
     refuse_large_tensor(grid.cells, 2 + a.max_degree())
     return a

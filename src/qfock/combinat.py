@@ -16,16 +16,17 @@ functions are pure.
 One engine, ``pairing_table``, enumerates every pairing sum in the package
 (``wickalg.multiply`` factorises its sum, ``wickalg.expand_field_product``
 folds ``multiply``, and neither reads a table).  It lists the pairings of
-positions ``0..n-1`` with their ``cr`` and ``sp``.  Each position has a
-class (``None``: never pairs), and a set of class pairs says which may
-pair.  All pairings are the one-class case, ``ONE_CLASS``; inter-block
-pairings give each block a class and allow ``across_classes(blocks)``;
-restricted pairings give the legs class 0 and each insert block a class of
-its own, with the same allowed set, so no two legs pair.  Fixed arcs count
-towards the statistics.  Tables are cached by shape alone (classes, allowed
-pairs, fixed arcs, ``k``; never q or the dimension), for at most
-``TABLE_CACHE_SIZE`` shapes.  ``enumerate_pairings`` lists the one-class
-table as ``Pairing`` values over a label set.
+positions ``0..n-1`` with their ``cr`` and ``sp`` under one rule: each
+position carries the class of the operand it belongs to, and two positions
+may pair when their classes differ.  All pairings make every position its
+own operand, ``tuple(range(n))``; inter-block pairings give each block a
+class; restricted pairings give the legs class 0 and each insert block a
+class of its own, so no two legs pair.  Fixed arcs are never enumerated, the
+positions they cover never pair again, and they count towards the
+statistics.  Tables are cached by shape alone (classes, fixed arcs, ``k``;
+never q or the dimension), for at most ``TABLE_CACHE_SIZE`` shapes.
+``enumerate_pairings`` lists the all-pairings table as ``Pairing`` values
+over a label set.
 """
 from __future__ import annotations
 
@@ -174,31 +175,22 @@ def mirror_double(pairing: Pairing) -> Pairing:
 # enumeration
 # ---------------------------------------------------------------------------
 
-#: Allowed class pairs when every position is of class 0 and any two may pair.
-ONE_CLASS = frozenset({(0, 0)})
-
 #: Number of shapes whose pairing tables ``pairing_table`` keeps.
 TABLE_CACHE_SIZE = 256
 
 
-def across_classes(m: int) -> frozenset:
-    """Allowed class pairs joining two distinct classes among ``0..m-1``."""
-    return frozenset(itertools.combinations(range(m), 2))
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def pairing_table(classes: tuple, allowed: frozenset, fixed: tuple = (),
-                  k: int | None = None) -> tuple:
-    """The admissible pairings of positions ``0..n-1``, as ``(pairs, cr, sp)``.
+def pairing_table(classes: tuple, fixed: tuple = (), k: int | None = None) -> tuple:
+    """The pairings of positions ``0..n-1`` that join different classes, as ``(pairs, cr, sp)``.
 
-    Positions ``s < t`` may pair when ``(classes[s], classes[t])`` or its
-    reverse is in ``allowed``; class ``None`` never pairs.  ``fixed`` arcs are
-    not enumerated, but ``cr`` and ``sp`` are those of ``fixed ∪ pairs``, a
-    free position being one no arc covers.  With ``k``, only pairings of
-    exactly ``k`` arcs are listed.  ``pairs`` is sorted by first position and
-    the entries come in lexicographic order of ``pairs``.
+    Positions ``s < t`` may pair when ``classes[s] != classes[t]`` and no
+    ``fixed`` arc covers either.  ``fixed`` arcs are not enumerated, but
+    ``cr`` and ``sp`` are those of ``fixed ∪ pairs``, a free position being
+    one no arc covers.  With ``k``, only pairings of exactly ``k`` arcs are
+    listed.  ``pairs`` is sorted by first position and the entries come in
+    lexicographic order of ``pairs``.
 
-    >>> for entry in pairing_table((0, 0, 1), frozenset({(0, 1)})):
+    >>> for entry in pairing_table((0, 0, 1)):
     ...     print(entry)
     ((), 0, 0)
     (((0, 2),), 0, 1)
@@ -207,7 +199,6 @@ def pairing_table(classes: tuple, allowed: frozenset, fixed: tuple = (),
     n = len(classes)
     if k is not None and k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    ok = set(allowed) | {(b, a) for a, b in allowed}
     covered = [False] * n
     arcs: list[tuple[int, int]] = []
 
@@ -234,16 +225,16 @@ def pairing_table(classes: tuple, allowed: frozenset, fixed: tuple = (),
             if depth == k:
                 return
         # open positions from s on; one skipped over stays free
-        remaining = sum(1 for i in range(start, n) if classes[i] is not None and not covered[i])
+        remaining = sum(1 for i in range(start, n) if not covered[i])
         for s in range(start, n):
-            if classes[s] is None or covered[s]:
+            if covered[s]:
                 continue
             if k is not None and 2 * (k - depth) > remaining:
                 break
             remaining -= 1
             covered[s] = True
             for t in range(s + 1, n):
-                if not covered[t] and (classes[s], classes[t]) in ok:
+                if not covered[t] and classes[s] != classes[t]:
                     extra = crossings(s, t)
                     arcs.append((s, t))
                     covered[t] = True
@@ -266,7 +257,7 @@ def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]
     [(), ((1, 2),), ((1, 3),), ((2, 3),)]
     """
     labels = context.elements
-    table = pairing_table((0,) * len(context), ONE_CLASS, (), k)
+    table = pairing_table(tuple(range(len(context))), (), k)
     return [Pairing(tuple((labels[s], labels[t]) for s, t in pairs), context)
             for pairs, _, _ in table]
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag, solve_triangular
 
 
 MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor built or parsed
@@ -441,21 +442,15 @@ def field_operator(f, q: float, cutoff: int) -> TruncatedOperator:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_and_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(mat)
-    if np.min(vals) <= 0:
-        raise ValueError("metric matrix is not positive definite")
-    r = np.sqrt(vals)
-    return (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
-
-
 def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
                   q: float | None = None) -> float:
     """Largest singular value of the operator restricted to ``sectors``.
 
     Computed exactly, by a dense SVD of the stacked sector blocks.  With
-    ``metric="fq"`` the singular value is taken in the q-twisted geometry
-    (blocks conjugated by ``P_q^{±1/2}``), which requires |q| < 1.
+    ``metric="fq"`` the singular value is taken in the q-twisted geometry,
+    which requires |q| < 1: with ``P_q = L L^T`` the Cholesky factor of each
+    sector, the matrix becomes ``L_out^T · M · L_in^{-T}``, which has the
+    singular values of ``P_q^{1/2} · M · P_q^{-1/2}``.
     """
     sectors = sorted(sectors)
     if not sectors:
@@ -470,14 +465,12 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
             raise ValueError("metric='fq' requires q")
         if not -1.0 < q < 1.0:
             raise ValueError("q-metric norm requires |q| < 1")
-        in_blocks = [_sqrt_and_inv_sqrt(pq_matrix(op.d, k, q))[1] for k in sectors]
-        out_blocks = [_sqrt_and_inv_sqrt(pq_matrix(op.d, k, q))[0] for k in sectors_out]
-        col_off = np.cumsum([0] + [op.d ** k for k in sectors])
-        row_off = np.cumsum([0] + [op.d ** k for k in sectors_out])
-        for i, blk in enumerate(out_blocks):
-            mat[row_off[i]:row_off[i + 1], :] = blk @ mat[row_off[i]:row_off[i + 1], :]
-        for j, blk in enumerate(in_blocks):
-            mat[:, col_off[j]:col_off[j + 1]] = mat[:, col_off[j]:col_off[j + 1]] @ blk
+        try:
+            L_in, L_out = (block_diag(*(np.linalg.cholesky(pq_matrix(op.d, k, q)) for k in ks))
+                           for ks in (sectors, sectors_out))
+        except np.linalg.LinAlgError:
+            raise ValueError("metric matrix is not positive definite") from None
+        mat = solve_triangular(L_in, (L_out.T @ mat).T, lower=True).T
     elif metric != "f0":
         raise ValueError(f"unknown metric {metric!r}")
     return float(np.linalg.norm(mat, 2))

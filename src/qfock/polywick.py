@@ -19,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .combinat import IndexSet, Pairing, across_classes, enumerate_pairings, pairing_table
+from .combinat import IndexSet, Pairing, contraction_stats, enumerate_pairings, pairing_table
 from .fock import FockTensor
 from .wickalg import WickElement, delta_q, multiply, sum_chaos
 
@@ -116,7 +116,8 @@ def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
 
     # Lay out the spliced row: one row per leg slot and one per axis of
     # each inserted tensor.  A row's class is the operand carrying its axis
-    # (0 for F, j for the j-th insert), or None for a leg that pi contracts.
+    # (0 for F, j for the j-th insert), or None for a leg that pi contracts:
+    # its fixed arc keeps the engine from pairing it again.
     classes: list[int | None] = []
     row_of_leg: dict[int, int] = {}
     j = 0
@@ -128,7 +129,7 @@ def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
             j += 1
             classes.extend([j] * Gs[j - 1].degree)
     fixed = tuple((row_of_leg[s], row_of_leg[t]) for s, t in pi.pairs)
-    table = pairing_table(tuple(classes), across_classes(len(Gs) + 1), fixed)
+    table = pairing_table(tuple(classes), fixed)
     operands = [F.data] + [G.data for G in Gs]
     rows = [r for r, c in enumerate(classes) if c is not None]
 
@@ -236,9 +237,7 @@ def counterterm_monomial(n_legs: int, insert_positions, pi) -> tuple[int, int]:
         raise ValueError("incomplete pairing: every leg must be contracted exactly once")
     if set(inserts) & set(legs):
         raise ValueError("insert positions must be disjoint from the legs")
-    position = {x: i for i, x in enumerate(IndexSet(tuple(sorted(legs + inserts))))}
-    fixed = tuple(sorted((position[s], position[t]) for s, t in pairs))
-    ((_, q_power, delta_power),) = pairing_table((None,) * len(position), frozenset(), fixed)
+    q_power, delta_power, _ = contraction_stats(Pairing(pairs, IndexSet(sorted(legs + inserts))))
     return q_power, delta_power
 
 

@@ -239,13 +239,15 @@ def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
 
 
 def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
-    """Residual-vs-prediction report across a dyadic sweep of grids.
+    """Residual-vs-prediction report across a sweep of grids.
 
-    The given grid is the finest; three dyadic coarsenings are added, and t
-    must be a point of each with t + dt within the horizon.  For each grid
-    the norm ``|||R_low - dt·prediction|||`` of the compressed terms (equal to
-    that at d = cells, U being an isometry) is recorded under the convention
-    that matches, and the log-log slope against dt is fitted.
+    The sweep has the given grid and the grids of ``cells // m`` cells for
+    m in {2, 4, 8}, each at least 2 cells and at most the given number (the
+    dyadic coarsenings when 8 divides it); t must be a point of each with
+    t + dt within the horizon.  For each grid the norm
+    ``|||R_low - dt·prediction|||`` of the compressed terms (equal to that at
+    d = cells, U being an isometry) is recorded under the convention that
+    matches, and the log-log slope against dt is fitted.
 
     For p in {2, 3} the low-chaos window contains only the correction term
     plus an O(dt^{3/2}) remainder, so one convention matches cleanly.  For
@@ -253,9 +255,7 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     fluctuation, which stays O(dt) in the graded norm, so the report may
     legitimately flag "neither".
     """
-    cells = [max(2, grid.cells // 8), max(2, grid.cells // 4),
-             max(2, grid.cells // 2), grid.cells]
-    cells = sorted(set(cells))
+    cells = sorted({min(grid.cells, max(2, grid.cells // m)) for m in (8, 4, 2, 1)})
     grids = [TimeGrid(grid.horizon, m) for m in cells]
     for g in grids:  # every step needs t on its grid and t + dt within the horizon
         try:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinat import ONE_CLASS, pairing_table
+from .combinat import pairing_table
 from .fock import FockTensor, TruncatedOperator, TruncationError, wick_operator
 
 
@@ -99,10 +99,9 @@ class WickElement:
     def max_degree(self) -> int:
         return max(self.chaos, default=0)
 
-    def support(self, tol: float = 0.0) -> tuple[int, ...]:
-        """The degrees with a coefficient above tol in size, or a NaN one."""
-        return tuple(sorted(k for k, F in self.chaos.items()
-                            if not np.max(np.abs(F.data), initial=0.0) <= tol))
+    def support(self) -> tuple[int, ...]:
+        """The degrees with a nonzero (or NaN) coefficient: those ``trim`` keeps."""
+        return tuple(sorted(k for k, F in self.chaos.items() if F.data.any()))
 
     def trim(self) -> "WickElement":
         """Drop the degrees whose coefficients are all zero (a NaN is kept)."""
@@ -312,7 +311,7 @@ def moment(vectors, q: float) -> float:
         return 1.0
     gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
     total = 0.0
-    for pairs, cr, _ in pairing_table((0,) * n, ONE_CLASS, (), n // 2):
+    for pairs, cr, _ in pairing_table(tuple(range(n)), (), n // 2):
         term = q ** cr
         for s, t in pairs:
             term *= gram[s, t]

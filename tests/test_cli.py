@@ -370,6 +370,13 @@ def test_ito_command_schema(capsys):
     assert doc["outputs"]["matched_convention"] == "unordered"
 
 
+@pytest.mark.parametrize("cells,grids", [("1", [1]), ("3", [2, 3]), ("64", [8, 16, 32, 64])])
+def test_ito_sweep_is_capped_at_the_given_grid(cells, grids, capsys):
+    code, doc, _ = _capture(capsys, ["ito", "--p", "3", "--cells", cells, "--t", "0"])
+    assert code == 0
+    assert doc["outputs"]["grids"] == grids
+
+
 def test_verify_single_suite(capsys):
     code, doc, _ = _capture(capsys, ["verify", "--suite", "counterterm"])
     assert code == 0
@@ -589,3 +596,20 @@ def test_delta_r_bad_input_is_structured_error(changes, tmp_path, capsys):
     assert doc["status"] == "error"
     assert set(doc["outputs"]) == {"code", "message"}
     assert doc["outputs"]["code"] == "ValueError"
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("multiply", {}, "a"),
+    ("multiply", {"a": WickElement.one(2).to_json()}, "b"),
+    ("norm", {}, "element"),
+    ("delta-r", {}, "pattern"),
+    *[("delta-r", {k: v for k, v in _delta_r_doc().items() if k != key}, key)
+      for key in ("pattern", "f", "operators")],
+])
+def test_missing_input_key_is_named(command, doc, key, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _capture(capsys, [command, "--q", "0.5", "--input", str(path)])
+    assert code == 2
+    assert out["outputs"]["code"] == "ValueError"
+    assert repr(key) in out["outputs"]["message"]

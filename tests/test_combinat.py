@@ -4,9 +4,10 @@ from math import comb, perm
 
 import pytest
 
-from qfock.combinat import (ONE_CLASS, CosetRep, IndexSet, Pairing, across_classes,
-                            contraction_stats, coset_reps, double_factorial_odd,
-                            enumerate_pairings, mirror_double, pairing_table)
+from qfock.combinat import (CosetRep, IndexSet, Pairing, contraction_stats, coset_reps,
+                            double_factorial_odd, enumerate_pairings, mirror_double,
+                            pairing_table)
+from qfock.polywick import counterterm_monomial
 from qfock.wickalg import norm_constants
 
 
@@ -83,20 +84,19 @@ def _stats(arcs, n):
     return cr, sp
 
 
-def _reference_table(classes, allowed, fixed=()):
-    ok = set(allowed) | {(b, a) for a, b in allowed}
+def _reference_table(classes, fixed=()):
     fixed_pos = {x for arc in fixed for x in arc}
-    open_pos = [i for i, c in enumerate(classes) if c is not None and i not in fixed_pos]
+    open_pos = [i for i in range(len(classes)) if i not in fixed_pos]
     return [(pairs, *_stats(tuple(fixed) + pairs, len(classes)))
             for pairs in _all_pairings(tuple(open_pos))
-            if all((classes[s], classes[t]) in ok for s, t in pairs)]
+            if all(classes[s] != classes[t] for s, t in pairs)]
 
 
-def _check_table(classes, allowed, fixed=()):
-    table = pairing_table(tuple(classes), allowed, tuple(fixed))
+def _check_table(classes, fixed=()):
+    table = pairing_table(tuple(classes), tuple(fixed))
     forms = [pairs for pairs, _, _ in table]
     assert forms == sorted(set(forms))
-    assert list(table) == _reference_table(classes, allowed, fixed)
+    assert list(table) == _reference_table(classes, fixed)
     return table
 
 
@@ -120,18 +120,19 @@ def _involutions(n):
 
 
 def test_engine_one_class_counts_order_and_stats():
+    # every position its own operand: all pairings
     for n in range(9):
-        table = _check_table((0,) * n, ONE_CLASS)
+        table = _check_table(tuple(range(n)))
         assert len(table) == _involutions(n)
         for k in range(n // 2 + 2):
-            assert pairing_table((0,) * n, ONE_CLASS, (), k) == \
+            assert pairing_table(tuple(range(n)), (), k) == \
                 tuple(e for e in table if len(e[0]) == k)
 
 
 def test_engine_cross_counts():
     for m in range(9):
         for n in range(9 - m):
-            table = _check_table((0,) * m + (1,) * n, across_classes(2))
+            table = _check_table((0,) * m + (1,) * n)
             assert len(table) == sum(comb(m, k) * perm(n, k) for k in range(min(m, n) + 1))
 
 
@@ -139,7 +140,7 @@ def test_engine_interblock_layouts():
     for n in range(9):
         for sizes in _compositions(n):
             classes = [b for b, size in enumerate(sizes) for _ in range(size)]
-            _check_table(classes, across_classes(len(sizes)))
+            _check_table(classes)
 
 
 def _restricted_layouts(n):
@@ -163,38 +164,40 @@ def test_engine_restricted_layouts():
         for classes in _restricted_layouts(n):
             n_inserts = max(classes, default=0)
             if n < 8 or n_inserts <= 2:
-                _check_table(classes, across_classes(n_inserts + 1))
+                _check_table(classes)
 
 
 def test_engine_restricted_layouts_with_contracted_legs():
-    # restricted_wick: legs that a prior pairing contracts keep their rows
+    # restricted_wick: legs that a prior pairing contracts keep their rows,
+    # marked None as restricted_wick marks them, and their fixed arcs keep
+    # them from pairing again
     for n in range(7):
         for classes in _restricted_layouts(n):
             legs = [i for i, c in enumerate(classes) if c == 0]
             for pi in _all_pairings(tuple(legs)):
                 contracted = {x for arc in pi for x in arc}
                 layout = [None if i in contracted else c for i, c in enumerate(classes)]
-                _check_table(layout, across_classes(max(classes, default=0) + 1), pi)
+                _check_table(layout, pi)
 
 
 def test_engine_counterterm_layouts():
-    # counterterm_monomial: every leg fixed, inserts (class None) stay free
+    # every leg paired, the inserts free: (q power, Δ power) is (cr, sp)
     for n in range(8):
         for inserts in itertools.product((False, True), repeat=n):
             legs = tuple(i for i in range(n) if not inserts[i])
-            layout = [None] * n
+            slots = [i for i in range(n) if inserts[i]]
             for pi in _all_pairings(legs):
                 if 2 * len(pi) == len(legs):
-                    assert len(_check_table(layout, frozenset(), pi)) == 1
+                    assert counterterm_monomial(len(legs), slots, pi) == _stats(pi, n)
 
 
 def test_engine_rejects_bad_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
-        pairing_table((0, 0), ONE_CLASS, (), -1)
+        pairing_table((0, 1), (), -1)
     with pytest.raises(ValueError, match="arc"):
-        pairing_table((None, None, 0), ONE_CLASS, ((0, 3),))
+        pairing_table((0, 1, 2), ((0, 3),))
     with pytest.raises(ValueError, match="arc"):
-        pairing_table((None, None, None), ONE_CLASS, ((0, 1), (1, 2)))
+        pairing_table((0, 1, 2), ((0, 1), (1, 2)))
 
 
 # -- statistics -----------------------------------------------------------------
@@ -249,26 +252,26 @@ def test_crb_append_recursion():
 
 def test_interblock_pairings():
     # two blocks {0, 1} and {2, 3}
-    got = [pairs for pairs, _, _ in pairing_table((0, 0, 1, 1), across_classes(2))]
+    got = [pairs for pairs, _, _ in pairing_table((0, 0, 1, 1))]
     assert got == [(), ((0, 2),), ((0, 2), (1, 3)), ((0, 3),), ((0, 3), (1, 2)),
                    ((1, 2),), ((1, 3),)]
 
-    assert [pairs for pairs, _, _ in pairing_table((0,) * 4, across_classes(1))] == [()]
-    assert [pairs for pairs, _, _ in pairing_table((0, 1), across_classes(2))] == \
+    assert [pairs for pairs, _, _ in pairing_table((0,) * 4)] == [()]
+    assert [pairs for pairs, _, _ in pairing_table((0, 1))] == \
         [(), ((0, 1),)]
 
 
 def test_restricted_pairings():
     # legs are class 0 and may not pair with each other; each insert block has its own class
-    got = {pairs for pairs, _, _ in pairing_table((0, 1, 0), across_classes(2))}
+    got = {pairs for pairs, _, _ in pairing_table((0, 1, 0))}
     assert got == {(), ((0, 1),), ((1, 2),)}
 
-    got = {pairs for pairs, _, _ in pairing_table((0, 1, 1, 0), across_classes(2))}
+    got = {pairs for pairs, _, _ in pairing_table((0, 1, 1, 0))}
     assert got == {(), ((0, 1),), ((0, 2),), ((1, 3),), ((2, 3),),
                    ((0, 1), (2, 3)), ((0, 2), (1, 3))}
 
     # an empty insert block between two legs
-    assert [pairs for pairs, _, _ in pairing_table((0, 0), across_classes(2))] == [()]
+    assert [pairs for pairs, _, _ in pairing_table((0, 0))] == [()]
 
 
 # -- coset representatives ---------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import qfock.fock
 import qfock.polywick
@@ -489,6 +490,35 @@ def test_creation_norm_grows_to_q_bound():
         assert est <= target + 1e-9
         prev = est
     assert est == pytest.approx(target, rel=1e-3)
+
+
+def _eigh_fq_norm(op, sectors, q):
+    """The fq norm with every sector block conjugated by ``P_q^{±1/2}`` from eigh."""
+    def root(k, power):
+        vals, vecs = np.linalg.eigh(pq_matrix(op.d, k, q))
+        return (vecs * vals ** power) @ vecs.T
+
+    sectors_out = sorted({k for s in sectors for k in op.block(s)})
+    mat = op.restricted_matrix(sectors, sectors_out)
+    left = block_diag(*(root(k, 0.5) for k in sectors_out))
+    right = block_diag(*(root(k, -0.5) for k in sectors))
+    return np.linalg.norm(left @ mat @ right, 2)
+
+
+@pytest.mark.parametrize("q", (-0.99, -0.9, -0.5, 0.0, 0.5, 0.9, 0.99))
+def test_fq_norm_matches_eigh_conjugation(q, rng):
+    for d, chaos, cutoff in ((2, 1, 7), (2, 3, 6), (3, 2, 5), (3, 3, 5)):
+        op = to_operator(random_element(rng, d, chaos), q, cutoff)
+        sectors = sorted(op.exact_sectors)
+        assert operator_norm(op, sectors, metric="fq", q=q) == \
+            pytest.approx(_eigh_fq_norm(op, sectors, q), rel=1e-12), (d, chaos, cutoff)
+
+
+def test_fq_norm_refuses_a_metric_without_cholesky_factor(monkeypatch):
+    # a P_q that is not positive definite has no Cholesky factor
+    monkeypatch.setattr(qfock.fock, "pq_matrix", lambda d, k, q: -np.eye(d ** k))
+    with pytest.raises(ValueError, match="not positive definite"):
+        operator_norm(identity_operator(2, 2), [0, 1], metric="fq", q=0.5)
 
 
 def test_free_field_norm_approaches_two():

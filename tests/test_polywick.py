@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element
-from qfock.combinat import Pairing, contraction_stats, enumerate_pairings
+from qfock.combinat import Pairing, contraction_stats, enumerate_pairings, pairing_table
 from qfock.fock import FockTensor, field_operator
 from qfock.polywick import (LEG, DeltaPolynomial, InsertionPattern,
                             counterterm_monomial, counterterm_polynomial,
@@ -389,6 +389,13 @@ def test_quartic_3d_polynomial():
     assert poly == target
     assert sum(poly.coeffs.values()) == 18
     assert poly.evaluate(1.0, 1.0) == 18
+
+
+def test_counterterm_polynomial_reads_no_pairing_table():
+    # a configuration is one fixed pairing: its statistics need no table
+    before = pairing_table.cache_info()
+    counterterm_polynomial(quartic_2d_configs() + quartic_3d_configs())
+    assert pairing_table.cache_info() == before
 
 
 def test_quartic_3d_matches_frozen_fixture():
