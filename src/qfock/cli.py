@@ -99,7 +99,7 @@ def _word_vectors(word: str, gram: str):
 # -- subcommand implementations ------------------------------------------------
 
 
-def _cmd_pairings(args, _seed):
+def _cmd_pairings(args):
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     ks = range(args.n // 2 + 1) if args.k is None else [args.k]
@@ -112,7 +112,7 @@ def _cmd_pairings(args, _seed):
     return {"count": len(out), "pairings": out}
 
 
-def _cmd_cosets(args, _seed):
+def _cmd_cosets(args):
     if 0 <= args.k <= args.n:  # coset_reps refuses any other k
         _refuse_large_table(math.comb(args.n, args.k), "representatives")
     reps = combinat.coset_reps(args.n, args.k)
@@ -121,7 +121,7 @@ def _cmd_cosets(args, _seed):
                      for r in reps]}
 
 
-def _cmd_moment(args, _seed):
+def _cmd_moment(args):
     doc = _read_input(args)
     if doc is not None:
         vectors = [np.asarray(v, dtype=float) for v in _vectors(doc)]
@@ -134,7 +134,7 @@ def _cmd_moment(args, _seed):
     return {"value": wickalg.moment(vectors, args.q)}
 
 
-def _cmd_wick_expand(args, _seed):
+def _cmd_wick_expand(args):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'vectors': [...]} required")
@@ -143,7 +143,7 @@ def _cmd_wick_expand(args, _seed):
     return {"element": wickalg.expand_field_product(vectors, args.q).to_json()}
 
 
-def _cmd_multiply(args, _seed):
+def _cmd_multiply(args):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'a': ..., 'b': ...} required")
@@ -152,7 +152,7 @@ def _cmd_multiply(args, _seed):
     return {"element": wickalg.multiply(A, B, args.q).to_json()}
 
 
-def _cmd_norm(args, _seed):
+def _cmd_norm(args):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input with {'element': ...} required")
@@ -166,7 +166,7 @@ def _cmd_norm(args, _seed):
     return out
 
 
-def _cmd_delta_r(args, _seed):
+def _cmd_delta_r(args):
     doc = _read_input(args)
     if doc is None:
         raise ValueError("--input document required")
@@ -180,7 +180,7 @@ def _cmd_delta_r(args, _seed):
     return {"element": polywick.delta_R(pattern, pi, F, As, args.q).to_json()}
 
 
-def _cmd_counterterm(args, _seed):
+def _cmd_counterterm(args):
     doc = _read_input(args)
     if doc is not None:
         configs = doc.get("configs")
@@ -218,14 +218,14 @@ def _inserted_element(args, grid) -> wickalg.WickElement:
     return a
 
 
-def _cmd_levy(args, _seed):
+def _cmd_levy(args):
     grid = _grid_from_args(args)
     a = _inserted_element(args, grid)
     el = qsde.levy_area(a, args.s, args.t, args.side, grid, args.q, args.diag_weight)
     return {"element": el.to_json()}
 
 
-def _cmd_chen(args, _seed):
+def _cmd_chen(args):
     grid = _grid_from_args(args)
     a = _inserted_element(args, grid)
     r = qsde.chen_residual(args.s, args.u, args.t, a, args.side, grid,
@@ -233,24 +233,24 @@ def _cmd_chen(args, _seed):
     return {"max_abs_coeff": r.max_abs_coeff()}
 
 
-def _cmd_bphz(args, _seed):
+def _cmd_bphz(args):
     rho = {"quartic": qsde.quartic_bump, "triangle": qsde.triangle_bump}[args.mollifier]
     val = qsde.bphz_constant(rho, args.epsilon)
     return {"value": val, "deviation_from_half": abs(val - 0.5)}
 
 
-def _cmd_ito(args, _seed):
+def _cmd_ito(args):
     grid = _grid_from_args(args)
     refuse_large_tensor(grid.cells, 1)  # only vectors are built at d = cells
     return qsde.ito_residual(args.p, args.t, grid, args.q)
 
 
-def _cmd_verify(args, seed):
+def _cmd_verify(args):
     if (args.d is not None and args.d < 1) or (args.chaos is not None and args.chaos < 0):
         raise ValueError(f"need --d >= 1 and --chaos >= 0, got --d {args.d}, --chaos {args.chaos}")
     options = {"d": args.d, "chaos": args.chaos,
                "q_grid": None if args.q_grid is None else _q_grid(args.q_grid)}
-    return verify.run_suites([args.suite], seed=seed,
+    return verify.run_suites([args.suite], seed=_resolve_seed(args),
                              **{k: v for k, v in options.items() if v is not None})
 
 
@@ -392,7 +392,7 @@ def run(argv) -> int:
     status = "ok"
     try:
         _check_inputs(args)
-        outputs = args.fn(args, _resolve_seed(args))
+        outputs = args.fn(args)
         exit_code = 0
         if args.command == "verify" and not outputs.get("passed", False):
             status = "error"

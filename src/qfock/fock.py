@@ -10,7 +10,7 @@ silently truncating.  Sector blocks are materialised lazily and cached, since
 a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  Every
 operator is a Wick assembly or a composition of them: all Wick blocks of an
 element come from one pass of a stacked annihilation per sector, and
-creation, annihilation, the field and the identity are Wick operators of
+creation, annihilation, the field and ``c·Id`` are Wick operators of
 chaos 0 or 1.  Sums and multiples are taken on ``restricted_matrix`` arrays.
 """
 from __future__ import annotations
@@ -178,40 +178,34 @@ class FockVector:
 # ---------------------------------------------------------------------------
 
 
-def _pq_apply_axes(tensor: np.ndarray, axes: list[int], q: float) -> np.ndarray:
-    """q-symmetrize the listed (contiguous-in-meaning) tensor axes.
+def _pq_tail(X: np.ndarray, k: int, q: float) -> np.ndarray:
+    """q-symmetrize the last k axes of X.
 
-    Uses the coset recursion: symmetrizing k factors equals symmetrizing the
-    last k-1 and then summing the ``q^{j-1}``-weighted rotations that move the
-    first factor into position j.  Cost is polynomial in the degree rather
-    than factorial.
+    Uses the coset recursion: with the last j-1 axes symmetrized, the last j
+    are symmetrized by adding the ``q^i``-weighted moves of axis ``-j`` to
+    ``i`` places further back.  Cost is polynomial in the degree rather than
+    factorial.
     """
-    out = np.asarray(tensor, dtype=float).copy()
-    for k in range(2, len(axes) + 1):
-        group = axes[-k:]
+    out = np.asarray(X, dtype=float).copy()
+    for j in range(2, k + 1):
+        first = out.ndim - j
         acc = out.copy()
-        for j in range(2, k + 1):
-            acc += q ** (j - 1) * np.moveaxis(out, group[0], group[j - 1])
+        for i in range(1, j):
+            acc += q ** i * np.moveaxis(out, first, first + i)
         out = acc
     return out
 
 
 def pq_apply(tensor: np.ndarray, q: float) -> np.ndarray:
     """Apply the q-symmetrizer ``Σ_σ q^{inv(σ)} U_σ`` to a degree-n tensor."""
-    n = np.ndim(tensor)
-    if n <= 1:
-        return np.asarray(tensor, dtype=float).copy()
-    return _pq_apply_axes(tensor, list(range(n)), q)
+    return _pq_tail(tensor, np.ndim(tensor), q)
 
 
 def pq_matrix(d: int, n: int, q: float) -> np.ndarray:
     """The q-symmetrizer on ``H^{⊗n}`` as a dense ``d^n × d^n`` matrix."""
-    if n == 0:
-        return np.ones((1, 1))
     dim = d ** n
     batch = np.eye(dim).reshape((dim,) + (d,) * n)
-    sym = _pq_apply_axes(batch, list(range(1, n + 1)), q)
-    return sym.reshape(dim, dim).T
+    return _pq_tail(batch, n, q).reshape(dim, dim).T
 
 
 def q_inner(left: FockTensor, right: FockTensor, q: float) -> float:
@@ -297,18 +291,17 @@ class TruncatedOperator:
 
     # -- dense restrictions ---------------------------------------------------
 
+    def out_sectors(self, sectors_in) -> list[int]:
+        """The sorted sectors that ``sectors_in`` reach, or ``[0]`` if they reach none."""
+        outs = {k_out for k in sectors_in for k_out in self.block(k)}
+        return sorted(outs) or [0]
+
     def restricted_matrix(self, sectors_in, sectors_out=None) -> np.ndarray:
         """Stacked dense matrix over the given input (and output) sectors."""
         sectors_in = sorted(sectors_in)
         if not sectors_in:
             raise ValueError("empty sector range")
-        if sectors_out is None:
-            outs: set[int] = set()
-            for k in sectors_in:
-                outs.update(self.block(k).keys())
-            sectors_out = sorted(outs) if outs else [0]
-        else:
-            sectors_out = sorted(sectors_out)
+        sectors_out = self.out_sectors(sectors_in) if sectors_out is None else sorted(sectors_out)
         col_off = np.cumsum([0] + [self.d ** k for k in sectors_in])
         row_off = np.cumsum([0] + [self.d ** k for k in sectors_out])
         out_pos = {k: i for i, k in enumerate(sectors_out)}
@@ -415,11 +408,6 @@ def wick_block_matrix(k: int, ell: int, F: FockTensor, q: float, cutoff: int) ->
     return _wick_assembly(F.d, [(F.data, ell)], q, cutoff)
 
 
-def identity_operator(d: int, cutoff: int, scalar: float = 1.0) -> TruncatedOperator:
-    """``scalar·Id``, the chaos-0 Wick operator; exact on every sector."""
-    return wick_operator(d, {0: scalar}, 0.0, cutoff)
-
-
 def creation(f, cutoff: int) -> TruncatedOperator:
     """The Wick block ``a†(f)``: prepend f, sector k -> k+1; exact below the cutoff."""
     f = np.asarray(f, dtype=float)
@@ -455,10 +443,7 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
     sectors = sorted(sectors)
     if not sectors:
         raise ValueError("empty sector range")
-    outs: set[int] = set()
-    for k in sectors:
-        outs.update(op.block(k).keys())
-    sectors_out = sorted(outs) if outs else [0]
+    sectors_out = op.out_sectors(sectors)
     mat = op.restricted_matrix(sectors, sectors_out)
     if metric == "fq":
         if q is None:

@@ -51,25 +51,8 @@ class InsertionPattern:
         return tuple(i + 1 for i, s in enumerate(self.slots) if s == LEG)
 
     @property
-    def insert_slots(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, s in enumerate(self.slots) if s == INSERT)
-
-    @property
     def n_inserts(self) -> int:
-        return len(self.insert_slots)
-
-    def leg_blocks(self) -> list[tuple[int, ...]]:
-        """Leg slots grouped by the inserts separating them (may be empty)."""
-        blocks: list[tuple[int, ...]] = []
-        current: list[int] = []
-        for i, s in enumerate(self.slots):
-            if s == LEG:
-                current.append(i + 1)
-            else:
-                blocks.append(tuple(current))
-                current = []
-        blocks.append(tuple(current))
-        return blocks
+        return self.slots.count(INSERT)
 
     def leg_context(self) -> IndexSet:
         return IndexSet(self.leg_slots)
@@ -166,18 +149,20 @@ def delta_R(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
     inner = As[1:-1]
     core = WickElement.zero(d)
     supports = [sorted(a.chaos) for a in inner]
-    for combo in itertools.product(*supports) if inner else [()]:
+    for combo in itertools.product(*supports):
         Gs = [inner[j].chaos[k] for j, k in enumerate(combo)]
         core = core + restricted_wick(pattern, pi, F, Gs, q)
-    return multiply(multiply(As[0], core, q), As[-1], q).trim()
+    return multiply(multiply(As[0], core, q), As[-1], q)
 
 
 def disentangle_check(pattern: InsertionPattern, fs, As, q: float):
     """Both sides of the insertion-product decomposition of a plain product.
 
     The left side multiplies out ``A_0 ξ(f..) A_1 ξ(f..) ... A_n`` in the
-    Wick algebra; the right side sums ``∏<f_s,f_t> · delta_R`` over all
-    pairings of the legs.  Returns ``(lhs, rhs)`` for equality assertion.
+    Wick algebra, a left fold of ``multiply`` over the pattern's slots with
+    ``ξ(f)`` for a leg and the next ``A_j`` for an insert; the right side sums
+    ``∏<f_s,f_t> · delta_R`` over all pairings of the legs.  Returns
+    ``(lhs, rhs)`` for equality assertion.
     """
     fs = [np.asarray(f, dtype=float) for f in fs]
     legs = pattern.leg_slots
@@ -189,14 +174,12 @@ def disentangle_check(pattern: InsertionPattern, fs, As, q: float):
     d = len(fs[0]) if fs else As[0].d
     vec_of = {slot: fs[i] for i, slot in enumerate(legs)}
 
+    vectors, inserts = iter(fs), iter(As[1:-1])
     lhs = As[0]
-    blocks = pattern.leg_blocks()
-    for b, block in enumerate(blocks):
-        for slot in block:
-            lhs = multiply(lhs, WickElement.from_vector(vec_of[slot]), q)
-        if b < len(blocks) - 1:
-            lhs = multiply(lhs, As[b + 1], q)
-    lhs = multiply(lhs, As[-1], q).trim()
+    for slot in pattern.slots:
+        lhs = multiply(lhs, WickElement.from_vector(next(vectors)) if slot == LEG
+                       else next(inserts), q)
+    lhs = multiply(lhs, As[-1], q)
 
     rhs = WickElement.zero(d)
     ctx = pattern.leg_context()

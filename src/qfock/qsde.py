@@ -135,7 +135,7 @@ def bphz_constant(mollifier, eps: float) -> float:
 
     Computes ``∫_0^∞ ∫ ρ_eps(s-z) ρ_eps(z) dz ds`` by nested adaptive
     quadrature.  For any even normalized mollifier the value is 1/2,
-    independently of eps.
+    independently of eps; a non-finite result raises ValueError.
     """
     tol = 1e-9  # absolute error of the outer quadrature; the inner ones get 1e-2 of it
     if eps <= 0:
@@ -160,6 +160,8 @@ def bphz_constant(mollifier, eps: float) -> float:
 
     out, _ = quad(inner, 0.0, 2.0 * eps, epsabs=tol, limit=200,
                   points=[0.0, eps, 2.0 * eps])
+    if not np.isfinite(out):  # the integrand, of size 1/eps², overflows below eps ~ 1e-154
+        raise ValueError(f"the constant at eps = {eps} is not finite ({out})")
     return float(out)
 
 

@@ -35,6 +35,7 @@ def _worse(worst: float, x: float) -> float:
 
 def suite_commutation(seed=0, q_grid=DEFAULT_Q_GRID, d=3):
     """alpha(f) alpha†(g) - q alpha†(g) alpha(f) = <f,g>·Id on exact sectors."""
+    fock.refuse_large_tensor(d, 10)  # the sector-5 annihilation block starts from eye(d^5)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for q in q_grid:
@@ -53,6 +54,9 @@ def suite_commutation(seed=0, q_grid=DEFAULT_Q_GRID, d=3):
 
 def suite_wick_oracle(seed=0, q_grid=DEFAULT_Q_GRID, d=2, chaos=2):
     """multiply() agrees with the composed matrix realisation on exact sectors."""
+    # the product's top chaos, and the outer factor's blocks from sector 6 - chaos
+    # to 6; at chaos 0 the stacked sectors 0..6 take (Σ d^k)² < d^13 entries (d >= 3)
+    fock.refuse_large_tensor(d, max(2 * chaos, 13 - chaos))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for q in q_grid:
@@ -74,11 +78,7 @@ def oracle_deviation(A: wickalg.WickElement, B: wickalg.WickElement,
     sectors = sorted(op_ab.exact_sectors & composed.exact_sectors)
     if not sectors:
         raise ValueError("no common exact sectors; raise the cutoff")
-    outs = set()
-    for k in sectors:
-        outs.update(op_ab.block(k).keys())
-        outs.update(composed.block(k).keys())
-    outs = sorted(outs) if outs else [0]
+    outs = sorted({*op_ab.out_sectors(sectors), *composed.out_sectors(sectors)})
     m1 = op_ab.restricted_matrix(sectors, outs)
     m2 = composed.restricted_matrix(sectors, outs)
     return float(np.max(np.abs(m1 - m2)))
@@ -86,6 +86,7 @@ def oracle_deviation(A: wickalg.WickElement, B: wickalg.WickElement,
 
 def suite_norm_submult(seed=0, q_grid=(-0.9, -0.5, 0.5, 0.9), d=2, chaos=3):
     """|||AB||| <= |||A|||·|||B||| with additive slack 1e-9."""
+    fock.refuse_large_tensor(d, 2 * chaos)  # the product's top chaos
     rng = np.random.default_rng(seed)
     violations = 0
     worst_margin = -np.inf
@@ -106,6 +107,7 @@ def suite_norm_submult(seed=0, q_grid=(-0.9, -0.5, 0.5, 0.9), d=2, chaos=3):
 
 def suite_opbounds(seed=0, q_grid=(-0.5, 0.0, 0.5), d=2):
     """Wick-block and symmetrizer norm bounds, plus the symmetrizer product form."""
+    fock.refuse_large_tensor(d, 13)  # the stacked sectors 0..6: (Σ d^k)² < d^13 entries (d >= 3)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -153,6 +155,7 @@ def suite_opbounds(seed=0, q_grid=(-0.5, 0.0, 0.5), d=2):
 
 def suite_disentangle(seed=0, q_grid=(-0.5, 0.5), d=2, chaos=2):
     """Insertion-product decomposition of a plain operator product."""
+    fock.refuse_large_tensor(d, 4 * chaos + 3)  # the top chaos of the LILIL left side
     rng = np.random.default_rng(seed)
     pattern = polywick.InsertionPattern.from_string("LILIL")
     worst = 0.0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfock import combinat, jsonio, qsde, verify, wickalg
+from qfock import cli, combinat, jsonio, qsde, verify, wickalg
 from qfock.cli import MAX_PAIRINGS, MAX_TENSOR_ENTRIES, run
 from qfock.polywick import quartic_2d_configs
 from qfock.wickalg import WickElement, expand_field_product, wick_product_vectors
@@ -363,6 +363,17 @@ def test_bphz_command(capsys):
     assert abs(doc["outputs"]["value"] - 0.5) <= 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("mollifier,eps", [("triangle", "1e-154"), ("quartic", "1e-155"),
+                                         ("triangle", "1e-155"), ("quartic", "1e-320"),
+                                         ("triangle", "1e-320")])
+def test_bphz_command_names_a_non_finite_constant(mollifier, eps, capsys):
+    code, doc, _ = _capture(capsys, ["bphz-constant", "--epsilon", eps,
+                                     "--mollifier", mollifier])
+    assert code == 2 and doc["outputs"]["code"] == "ValueError"
+    assert f"eps = {float(eps)}" in doc["outputs"]["message"]
+
+
 def test_ito_command_schema(capsys):
     code, doc, _ = _capture(capsys, ["ito", "--p", "2", "--q", "0.5",
                                      "--cells", "16", "--t", "0.5"])
@@ -452,6 +463,56 @@ def test_verify_forwards_chaos_zero(monkeypatch, capsys):
     assert code == 0
     assert doc["inputs"]["chaos"] == 0
     assert seen and set(seen) == {(3, 0)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "commutation", "--d", "6"],  # eye(6^5) for the sector-5 annihilation block
+    ["--suite", "commutation", "--d", "7"],
+    ["--suite", "wick-oracle", "--d", "5"],  # 5^11 at chaos 2
+    ["--suite", "wick-oracle", "--d", "4", "--chaos", "0"],  # 4^13
+    ["--suite", "wick-oracle", "--chaos", "13"],  # 2^26
+    ["--suite", "norm-submult", "--chaos", "13"],  # the product's top chaos, 2^26
+    ["--suite", "norm-submult", "--chaos", "30"],
+    ["--suite", "opbounds", "--d", "4"],  # 4^13
+    ["--suite", "disentangle", "--chaos", "6"],  # the LILIL left side, 2^27
+    ["--suite", "disentangle", "--d", "5"],  # 5^11 at chaos 2
+])
+def test_verify_sizes_are_refused_before_building(argv, capsys):
+    _refused_under_small_peak(capsys, ["verify", *argv], MAX_TENSOR_ENTRIES)
+
+
+class _SuiteStarted(Exception):
+    """Raised by a stubbed random generator: the suite got past its size guard."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "commutation", "--d", "5"],  # 5^10
+    ["--suite", "wick-oracle", "--d", "4"],  # 4^11
+    ["--suite", "wick-oracle", "--d", "3", "--chaos", "0"],  # 3^13
+    ["--suite", "wick-oracle", "--chaos", "12"],  # 2^24
+    ["--suite", "norm-submult", "--chaos", "12"],  # 2^24
+    ["--suite", "opbounds", "--d", "3"],  # 3^13
+    ["--suite", "disentangle", "--chaos", "5"],  # 2^23
+    ["--suite", "disentangle", "--d", "4"],  # 4^11
+])
+def test_largest_admitted_verify_sizes(argv, monkeypatch):
+    # each suite is stubbed at its first step after the guard, drawing its generator
+    def started(*_):
+        raise _SuiteStarted
+
+    monkeypatch.setattr(np.random, "default_rng", started)
+    with pytest.raises(_SuiteStarted):
+        run(["verify", *argv])
+
+
+def test_only_verify_reads_a_seed(monkeypatch, capsys):
+    # the other commands draw nothing at random, so an unreadable seed stops verify alone
+    monkeypatch.setenv("QFOCK_SEED", "not-a-number")
+    assert _capture(capsys, ["pairings", "--n", "4"])[0] == 0
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "counterterm"])
+    assert code == 2 and doc["outputs"]["code"] == "ValueError"
+    assert [name for name, obj in vars(cli).items() if name.startswith("_cmd_")
+            and list(inspect.signature(obj).parameters) != ["args"]] == []
 
 
 def test_verify_seed_is_never_refused(capsys):

@@ -8,13 +8,14 @@ from scipy.linalg import block_diag
 
 import qfock.fock
 import qfock.polywick
+import qfock.verify
 import qfock.wickalg
 from conftest import Q_GRID, inverse_perm, random_element, random_tensor
 from qfock.combinat import coset_reps
 from qfock.fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
-                        annihilation, creation, field_operator, identity_operator,
-                        operator_norm, pq_apply, pq_matrix,
-                        q_inner, wick_block_matrix, _shuffle_weighted_tensor)
+                        annihilation, creation, field_operator, operator_norm,
+                        pq_apply, pq_matrix, q_inner, wick_block_matrix, wick_operator,
+                        _shuffle_weighted_tensor)
 from qfock.wickalg import norm_constants, to_operator
 
 
@@ -81,6 +82,19 @@ def _apply_partial_pq(data, axes, q):
             full[a] = p
         out += q ** inv * np.transpose(data, full)
     return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pq_apply_and_matrix_match_the_permutation_sum(d, rng):
+    # both run the one coset recursion; the reference sums all n! permutations
+    for n, q in itertools.product(range(5), (0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0)):
+        X = rng.standard_normal((d,) * n)
+        want = _apply_partial_pq(X, list(range(n)), q)
+        assert np.allclose(pq_apply(X, q), want, rtol=0, atol=1e-12), (n, q)
+        basis = np.eye(d ** n).reshape((d ** n,) + (d,) * n)
+        columns = [_apply_partial_pq(e, list(range(n)), q).reshape(-1) for e in basis]
+        assert np.allclose(pq_matrix(d, n, q), np.stack(columns, axis=1),
+                           rtol=0, atol=1e-12), (n, q)
 
 
 def test_pq_coset_factorization(rng):
@@ -416,7 +430,7 @@ def test_field_builders_match_kron_blocks(d, cutoffs, rng):
         _assert_same_operator(annihilation(f, q, cutoff), reference_annihilation(f, q, cutoff))
         _assert_same_operator(field_operator(f, q, cutoff), reference_sum(
             d, cutoff, [reference_creation(f, cutoff), reference_annihilation(f, q, cutoff)]))
-        _assert_same_operator(identity_operator(d, cutoff, scalar),
+        _assert_same_operator(wick_operator(d, {0: scalar}, 0.0, cutoff),
                               reference_identity(d, cutoff, scalar))
 
 
@@ -455,14 +469,34 @@ def test_operators_come_from_assembly_or_compose_only():
     assert not hasattr(qfock.wickalg, "wick_product_recursive_operator")
     for name in ("total_count", "add_monomial"):
         assert not hasattr(qfock.polywick.DeltaPolynomial, name)
+    # each rule is stated once on its route: c·Id is wick_operator(d, {0: c}, ...),
+    # the q-symmetrizer is _pq_tail, and the slot order is pattern.slots
+    for name in ("identity_operator", "_pq_apply_axes"):
+        assert not hasattr(qfock.fock, name)
+    for name in ("leg_blocks", "insert_slots"):
+        assert not hasattr(qfock.polywick.InsertionPattern, name)
 
 
 # -- operator norms ----------------------------------------------------------------------
 
 
 def test_operator_norm_identity():
-    op = identity_operator(3, 4)
+    op = wick_operator(3, {0: 1.0}, 0.0, 4)
     assert operator_norm(op, range(5)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_zero_operator_stacks_onto_sector_zero(rng):
+    # an operator that reaches no sector is stacked onto one zero row, sector 0
+    for d, N in ((1, 4), (2, 3), (3, 2)):
+        op = wick_operator(d, {}, 0.5, N)
+        assert op.out_sectors(range(N + 1)) == [0]
+        mat = op.restricted_matrix(range(N + 1))
+        assert mat.shape == (1, sum(d ** k for k in range(N + 1))) and not mat.any()
+        assert operator_norm(op, range(N + 1)) == 0.0
+        assert operator_norm(op, range(N + 1), metric="fq", q=0.5) == 0.0
+    # the oracle stacks the union of both operators' sectors: sector 0 alone here
+    B = random_element(rng, 2, 2)
+    assert qfock.verify.oracle_deviation(qfock.wickalg.WickElement.zero(2), B, 0.5, 4) == 0.0
 
 
 def test_operator_norm_exact_on_close_singular_values():
@@ -518,7 +552,7 @@ def test_fq_norm_refuses_a_metric_without_cholesky_factor(monkeypatch):
     # a P_q that is not positive definite has no Cholesky factor
     monkeypatch.setattr(qfock.fock, "pq_matrix", lambda d, k, q: -np.eye(d ** k))
     with pytest.raises(ValueError, match="not positive definite"):
-        operator_norm(identity_operator(2, 2), [0, 1], metric="fq", q=0.5)
+        operator_norm(wick_operator(2, {0: 1.0}, 0.0, 2), [0, 1], metric="fq", q=0.5)
 
 
 def test_free_field_norm_approaches_two():
@@ -534,7 +568,7 @@ def test_free_field_norm_approaches_two():
 
 def test_operator_norm_empty_range_errors():
     with pytest.raises(ValueError, match="empty"):
-        operator_norm(identity_operator(2, 3), [])
+        operator_norm(wick_operator(2, {0: 1.0}, 0.0, 3), [])
 
 
 # -- truncation bookkeeping -------------------------------------------------------------

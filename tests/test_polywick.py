@@ -24,8 +24,7 @@ DATA = Path(__file__).parent / "data"
 def test_pattern_structure():
     pat = InsertionPattern.from_string("LILLIL")
     assert pat.leg_slots == (1, 3, 4, 6)
-    assert pat.insert_slots == (2, 5)
-    assert pat.leg_blocks() == [(1,), (3, 4), (6,)]
+    assert pat.n_inserts == 2
     assert InsertionPattern.from_json(pat.to_json()).slots == pat.slots
 
 
@@ -254,9 +253,9 @@ def test_disentangle_random_instances(q, rng):
         assert lhs.allclose(rhs, 1e-10)
 
 
-@pytest.mark.parametrize("pattern", ["LLIL", "ILLI", "LILLIL", "LLILIL"])
+@pytest.mark.parametrize("pattern", ["LLIL", "ILLI", "LIIL", "LILLIL", "LLILIL"])
 def test_disentangle_other_shapes(pattern, rng):
-    # empty leg blocks, leading/trailing inserts, and four-leg rows
+    # empty leg blocks, leading/trailing and adjacent inserts, and four-leg rows
     d, q = 2, 0.6
     pat = InsertionPattern.from_string(pattern)
     fs = [rng.standard_normal(d) for _ in range(len(pat.leg_slots))]

@@ -169,6 +169,15 @@ def test_bphz_constant_rejects_bad_mollifiers():
         bphz_constant(quartic_bump, -0.1)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bphz_constant_fails_closed_below_the_float_range():
+    # the integrand, of size 1/eps², overflows: inf for the triangle at 1e-154, nan below
+    for rho, eps in [(triangle_bump, 1e-154), (quartic_bump, 1e-155), (triangle_bump, 1e-155),
+                     (quartic_bump, 1e-320), (triangle_bump, 1e-320)]:
+        with pytest.raises(ValueError, match=f"eps = {eps} is not finite"):
+            bphz_constant(rho, eps)
+
+
 def _skewed(x):
     # normalized but uneven bump
     if -1 <= x <= 0:

@@ -7,7 +7,7 @@ import pytest
 from conftest import Q_GRID, random_element, random_tensor
 from qfock.combinat import TABLE_CACHE_SIZE, Pairing, pairing_table
 from qfock.fock import (FockTensor, FockVector, TruncationError, field_operator,
-                        identity_operator, operator_norm)
+                        operator_norm, wick_operator)
 from qfock.polywick import InsertionPattern, restricted_wick
 from qfock.wickalg import (WickElement, delta_q, expand_field_product, moment, multiply,
                            norm_constants, sum_chaos, to_operator, triple_norm,
@@ -84,7 +84,7 @@ def test_wick_square_as_operator(rng):
         f, g = rng.standard_normal(d), rng.standard_normal(d)
         op = to_operator(wick_product_vectors([f, g], q), q, N)
         square = field_operator(f, q, N).compose(field_operator(g, q, N))
-        scalar = identity_operator(d, N, scalar=float(np.dot(f, g)))
+        scalar = wick_operator(d, {0: float(np.dot(f, g))}, 0.0, N)
         secs = sorted(op.exact_sectors & square.exact_sectors & scalar.exact_sectors)
         outs = list(range(N + 1))
         m1 = op.restricted_matrix(secs, outs)
@@ -200,8 +200,7 @@ def test_expand_field_product_matches_operator_product(rng):
     for q in Q_GRID:
         fs = [rng.standard_normal(d) for _ in range(4)]
         sym = to_operator(expand_field_product(fs, q), q, N + 3)
-        from qfock.fock import field_operator, identity_operator
-        direct = identity_operator(d, N + 3)
+        direct = wick_operator(d, {0: 1.0}, 0.0, N + 3)
         for f in reversed(fs):
             direct = field_operator(f, q, N + 3).compose(direct)
         secs = sorted(sym.exact_sectors & direct.exact_sectors)
