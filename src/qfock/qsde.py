@@ -268,25 +268,23 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
         if last:
             raise ValueError(f"t + dt = {t + g.dt} passes the horizon {g.horizon} "
                              f"on the {g.cells}-cell grid in the sweep {cells}")
-    mismatches = {"unordered": [], "ordered": []}
     norms = {"unordered": [], "ordered": []}
-    scales = []
     dts = [g.dt for g in grids]
     for g, dt in zip(grids, dts):
         residual, pu, _ = _compressed_ito_terms(p, t, g, q)
-        low, po = residual.chaos_part(range(p - 1)), pu.scale(2.0)
-        for name, pred in (("unordered", pu), ("ordered", po)):
-            diff = low - pred.scale(dt)
-            norms[name].append(triple_norm(diff, q))
-            mismatches[name].append(triple_norm(low.scale(1.0 / dt) - pred, q))
-        scales.append(max(triple_norm(pu, q), triple_norm(po, q), 1.0))
+        low = residual.chaos_part(range(p - 1))
+        predictions = {"unordered": pu, "ordered": pu.scale(2.0)}
+        for name, pred in predictions.items():
+            norms[name].append(triple_norm(low - pred.scale(dt), q))
 
+    # the convention is read on the finest grid, the last of the sweep
+    mismatches = {name: triple_norm(low.scale(1.0 / dt) - pred, q)
+                  for name, pred in predictions.items()}
+    scale = max(*(triple_norm(pred, q) for pred in predictions.values()), 1.0)
     matched = "neither"
-    finest = -1
-    candidates = [name for name in ("unordered", "ordered")
-                  if mismatches[name][finest] <= 0.3 * scales[finest] + 1e-9]
+    candidates = [name for name in predictions if mismatches[name] <= 0.3 * scale + 1e-9]
     if candidates:
-        matched = min(candidates, key=lambda name: mismatches[name][finest])
+        matched = min(candidates, key=mismatches.get)
 
     report_norms = norms[matched] if matched != "neither" else norms["unordered"]
     positive = [(dt, r) for dt, r in zip(dts, report_norms) if r > 1e-300]

@@ -3,8 +3,8 @@
 An algebra element is stored as its (unique) graded family of chaos
 coefficients ``{k ↦ F_k}``.  Multiplication sums over cross pairings between
 the two leg sets weighted by ``q^crb``; the weight factorises, so the pairings
-with k arcs add up to a single contraction of a left and a right tensor, the
-left one q-symmetrized over its k contracted legs.  Moments follow the
+with k arcs add up to a single contraction of a left and a right tensor, each
+built by a recursion over the legs.  Moments follow the
 q-weighted pair partition rule, and the graded ℓ¹ norm with constants
 ``C_q, D_q`` makes the expansions a Banach algebra.  The matrix realisation on
 the truncated Fock space (``to_operator``) provides the independent oracle for
@@ -12,7 +12,6 @@ all of it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,7 +179,7 @@ def sum_chaos(d: int, terms) -> WickElement:
     for term in terms:
         k = np.ndim(term)
         acc[k] = acc[k] + term if k in acc else term
-    return WickElement(d, {k: FockTensor(d, a) for k, a in acc.items()}).trim()
+    return WickElement(d, {k: FockTensor(d, a) for k, a in acc.items() if a.any()})
 
 
 def expand_field_product(fs, q: float) -> WickElement:
@@ -197,72 +196,47 @@ def expand_field_product(fs, q: float) -> WickElement:
     return out.trim()
 
 
-def _sum_moved(X: np.ndarray, moves) -> np.ndarray:
-    """``Σ w · transpose(X, axes)`` over the ``(w, axes)`` pairs given.
+def _left_factor(X: np.ndarray, r: int, q: float) -> np.ndarray:
+    """One more arc on the left: ``Σ_{x<r} q^{r-1-x}`` times X with axis x moved to the back.
 
-    The sum is C-ordered, so ``tensordot`` reads it without a copy.
+    X's first r axes are its free legs and the rest its contracted ones, in
+    the order in which they meet the right factor's first axes.  Axis x
+    passes the ``r-1-x`` free legs after it: each one that stays free adds
+    to ``sp``, and each one contracted later meets a later right leg, so
+    their arcs cross.  So k steps from F sum ``q^{sp_L(S)+cr}`` over the
+    ordered k-subsets S of F's axes.
     """
-    out = None
-    for w, axes in moves:
-        term = np.transpose(X, axes)
-        if out is None:
-            out = np.multiply(term, w, order="C")
-        else:
-            out += w * term
+    m = X.ndim
+    if m == 1:
+        return X
+    axes = list(range(m))
+    # C-ordered, so that tensordot reads it without a copy
+    out = np.multiply(np.transpose(X, axes[1:] + [0]), q ** (r - 1), order="C")
+    for x in range(1, r):
+        out += q ** (r - 1 - x) * np.transpose(X, axes[:x] + axes[x + 1:] + [x])
     return out
 
 
-def _left_hat(F: np.ndarray, k: int, q: float) -> np.ndarray:
-    """The left factor of the k-arc term of a product.
+def _right_factors(G: np.ndarray, kmax: int, q: float) -> list[np.ndarray]:
+    """The right factors of k arcs for k = 0..kmax, in one pass over G's axes.
 
-    Sums ``q^{sp_L(S)}`` times F with its axes ``S`` moved to the back in
-    reverse order, over the k-subsets ``S`` of F's axes, and q-symmetrizes the
-    last k axes of the sum.  ``sp_L(S)`` counts the pairs of a leg in ``S``
-    and a later leg outside ``S``.
+    Entry k sums ``q^{sp_R(T)}`` times G with its axes T moved to the front in
+    order, over the k-subsets T of G's axes.  Axis i either stays, or joins
+    the j-1 axes already at the front, passing over the ``i-j+1`` free legs
+    before it; entries are filled in descending j so that entry j-1 is still
+    the one before axis i.  Where the first i+1 axes are all selected the
+    entry is G itself.
     """
-    m = F.ndim
-    if k == m == 1:
-        return F
-    moves = []
-    for S in itertools.combinations(range(m), k):
-        rest = [x for x in range(m) if x not in S]
-        moves.append((q ** sum(1 for s in S for x in rest if x > s),
-                      rest + list(reversed(S))))
-    return _q_symmetrize_tail(_sum_moved(F, moves), k, q)
-
-
-def _right_hat(G: np.ndarray, k: int, q: float) -> np.ndarray:
-    """The right factor of the k-arc term of a product.
-
-    Sums ``q^{sp_R(T)}`` times G with its axes ``T`` moved to the front in
-    order, over the k-subsets ``T`` of G's axes.  ``sp_R(T)`` counts the pairs
-    of a leg in ``T`` and an earlier leg outside ``T``.
-    """
-    n = G.ndim
-    if k == n:
-        return G
-    moves = []
-    for T in itertools.combinations(range(n), k):
-        rest = [x for x in range(n) if x not in T]
-        moves.append((q ** sum(1 for t in T for x in rest if x < t), list(T) + rest))
-    return _sum_moved(G, moves)
-
-
-def _q_symmetrize_tail(X: np.ndarray, k: int, q: float) -> np.ndarray:
-    """Apply ``P_q = Σ_σ q^{inv(σ)} U_σ`` to the last k axes of X.
-
-    Coset recursion: with ``P_q`` already applied to the last j-1 axes, the
-    last j are symmetrized by adding the ``q^i``-weighted moves of axis
-    ``-j`` to ``i`` places further back.
-    """
-    m = X.ndim
-    for j in range(2, k + 1):
-        first = m - j
-        acc = X.copy()
-        for i in range(1, j):
-            acc += q ** i * np.moveaxis(X, first, first + i)
-        X = acc
-    return X
+    R = [G]
+    axes = list(range(G.ndim))
+    for i in axes:
+        for j in range(min(i + 1, kmax), 0, -1):
+            if j == i + 1:
+                R.append(G)
+            else:
+                moved = np.transpose(R[j - 1], axes[:j - 1] + [i] + axes[j - 1:i] + axes[i + 1:])
+                R[j] = R[j] + q ** (i - j + 1) * moved
+    return R
 
 
 def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
@@ -271,32 +245,33 @@ def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
     Bilinear over chaos components.  A degree-m and a degree-n component
     multiply by summing over the cross pairings that join k left legs ``S``
     to k right legs ``T``, each weighted by ``q^{cr+sp}`` and contracting the
-    coefficients along its arcs.  The weight factorises: ``cr`` is the number
-    of non-inversions of the bijection ``S → T``, and ``sp`` is
-    ``sp_L(S) + sp_R(T)``, the free left legs after each leg of ``S`` plus the
-    free right legs before each leg of ``T``.  So the k-arc terms sum to one
-    contraction of the last k axes of ``_left_hat`` with the first k axes of
-    ``_right_hat``; the reversal of ``S`` turns non-inversions into the
-    inversions that the q-symmetrizer ``P_q`` (Bożejko–Speicher) counts.
-    Each hat is built once per call.  Deterministic summation order.
+    coefficients along its arcs.  The weight factorises (Bożejko–Speicher):
+    ``sp`` is the free left legs after each leg of ``S`` plus the free right
+    legs before each leg of ``T``, and ``cr`` counts the pairs of crossing
+    arcs, the non-inversions of the bijection ``S → T``.  So the k-arc terms
+    sum to one contraction of the last k axes of a left factor with the
+    first k axes of a right factor.  The left factor for k arcs is the one
+    for k-1 after one more q-weighted move of a free axis to the back
+    (``_left_factor``), which counts ``sp`` on the left and ``cr``; the right
+    factors for every k come from one pass over the axes of the right
+    coefficient (``_right_factors``), which counts ``sp`` on the right.  The
+    work is polynomial in the chaos degrees.  Deterministic summation order.
     """
     if A.d != B.d:
         raise ValueError("dimension mismatch")
-    left: dict[tuple[int, int], np.ndarray] = {}
-    right: dict[tuple[int, int], np.ndarray] = {}
+    top = max(A.chaos, default=0)
+    right = {n: _right_factors(G.data, min(n, top), q) for n, G in B.chaos.items()}
 
     def terms():
         for m in sorted(A.chaos):
-            F = A.chaos[m].data
-            for n in sorted(B.chaos):
-                G = B.chaos[n].data
-                yield np.multiply.outer(F, G)
+            left = [A.chaos[m].data]
+            for n in sorted(right):
+                R = right[n]
+                yield np.multiply.outer(left[0], R[0])
                 for k in range(1, min(m, n) + 1):
-                    if (m, k) not in left:
-                        left[m, k] = _left_hat(F, k, q)
-                    if (n, k) not in right:
-                        right[n, k] = _right_hat(G, k, q)
-                    yield np.tensordot(left[m, k], right[n, k], k)
+                    if k == len(left):
+                        left.append(_left_factor(left[-1], m - k + 1, q))
+                    yield np.tensordot(left[k], R[k], k)
 
     return sum_chaos(A.d, terms())
 

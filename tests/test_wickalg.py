@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -233,6 +235,61 @@ def test_multiply_pure_square_closed_form():
         assert vacuum_expectation(sq) == pytest.approx(1 + q)
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run the given seconds."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def q_hermite_coefficients(m, n, q):
+    """``{m+n-2k: [m k]_q [n k]_q [k]_q!}``, the q-Hermite linearisation.
+
+    The q-binomials come from the Pascal rule ``[a k] = [a-1 k-1] + q^k [a-1 k]``,
+    which divides by nothing, so q = -1 is covered.
+    """
+    N = max(m, n)
+    binom = [[1.0] + [0.0] * N]
+    for a in range(1, N + 1):
+        prev = binom[-1]
+        binom.append([1.0] + [prev[k - 1] + q ** k * prev[k] for k in range(1, N + 1)])
+    factorial = [1.0]
+    for k in range(1, N + 1):
+        factorial.append(factorial[-1] * sum(q ** j for j in range(k)))
+    return {m + n - 2 * k: binom[m][k] * binom[n][k] * factorial[k]
+            for k in range(min(m, n) + 1)}
+
+
+@pytest.mark.parametrize("q", (0.0, 0.5, -0.5, -0.9, 1.0, -1.0))
+def test_multiply_matches_q_hermite_product_at_d1(q):
+    # W(e^m) W(e^n) = sum_k [m k]_q [n k]_q [k]_q! W(e^(m+n-2k)) at d = 1
+    # (Bozejko-Kummerer-Speicher); the time limit turns a product whose work
+    # grows like 2^degree into a failure rather than a hang
+    degrees = (0, 1, 2, 3, 5, 8, 13, 21, 29, 30)
+
+    def W(m):
+        return WickElement.from_tensor(FockTensor(1, np.ones((1,) * m)))
+
+    with time_limit(10.0):
+        for m in degrees:
+            for n in degrees:
+                ref = q_hermite_coefficients(m, n, q)
+                got = multiply(W(m), W(n), q)
+                assert set(got.support()) <= set(ref), (m, n)
+                scale = max(abs(c) for c in ref.values())
+                for k, c in ref.items():
+                    gap = abs(float(got.coeff(k).data.reshape(-1)[0]) - c)
+                    assert gap <= 1e-14 * scale, (m, n, k)
+
+
 def test_multiply_unit_element(rng):
     A = random_element(rng, 2, 3)
     for q in (-0.9, 0.5):
@@ -257,21 +314,28 @@ def test_multiply_support_independent_of_q(rng):
 
 
 def pairing_sum_product(A, B, q):
-    """The product as a sum over cross pairings, one contraction per pairing."""
-    def terms():
-        for m in sorted(A.chaos):
-            F = A.chaos[m].data
-            for n in sorted(B.chaos):
-                G = B.chaos[n].data
-                for pairs, cr, sp in pairing_table((0,) * m + (1,) * n):
-                    if pairs:
-                        axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
-                        data = np.tensordot(F, G, axes=axes)
-                    else:
-                        data = np.multiply.outer(F, G)
-                    yield q ** (cr + sp) * data
+    """The product as a sum over cross pairings, one contraction per pairing.
 
-    return sum_chaos(A.d, terms())
+    Terms are formed and added in ``np.longdouble``.  At q = -0.9 two chaos-6
+    coefficients have thousands of pairings whose sum cancels to a thousandth
+    of their sizes, so in double precision the sum itself is off by 2e-14
+    relative; where ``longdouble`` is the x87 extended type it is not.
+    """
+    ql = np.longdouble(q)
+    acc: dict[int, np.ndarray] = {}
+    for m in sorted(A.chaos):
+        F = A.chaos[m].data.astype(np.longdouble)
+        for n in sorted(B.chaos):
+            G = B.chaos[n].data.astype(np.longdouble)
+            for pairs, cr, sp in pairing_table((0,) * m + (1,) * n):
+                if pairs:
+                    axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
+                    data = np.tensordot(F, G, axes=axes)
+                else:
+                    data = np.multiply.outer(F, G)
+                term = ql ** (cr + sp) * data
+                acc[term.ndim] = acc[term.ndim] + term if term.ndim in acc else term
+    return sum_chaos(A.d, (a.astype(float) for a in acc.values()))
 
 
 @pytest.mark.parametrize("q", (-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0))
@@ -287,6 +351,14 @@ def test_multiply_matches_pairing_sum(q, rng):
         A, B = random_element(rng, d, 3), random_element(rng, d, 3)
         ref = pairing_sum_product(A, B, q)
         assert (multiply(A, B, q) - ref).max_abs_coeff() <= 1e-14 * ref.max_abs_coeff()
+    for d in (1, 2):
+        for m in (5, 6):
+            for n in (5, 6):
+                A = WickElement.from_tensor(random_tensor(rng, d, m))
+                B = WickElement.from_tensor(random_tensor(rng, d, n))
+                ref = pairing_sum_product(A, B, q)
+                gap = (multiply(A, B, q) - ref).max_abs_coeff()
+                assert gap <= 1e-14 * ref.max_abs_coeff(), (d, m, n)
 
 
 def test_cross_pairing_statistics_factorise():
