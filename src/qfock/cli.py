@@ -106,7 +106,7 @@ def _cmd_pairings(args):
     # a negative --k is left to pairing_table, which refuses it
     _refuse_large_table(sum(math.comb(args.n, 2 * k) * combinat.double_factorial_odd(k)
                             for k in ks if k >= 0))
-    table = combinat.pairing_table(tuple(range(args.n)), (), args.k)
+    table = combinat.pairing_table(args.n, args.k)
     out = [{"pairs": [[s + 1, t + 1] for s, t in pairs], "cr": cr, "sp": sp, "crb": cr + sp}
            for pairs, cr, sp in table]
     return {"count": len(out), "pairings": out}
@@ -149,6 +149,7 @@ def _cmd_multiply(args):
         raise ValueError("--input with {'a': ..., 'b': ...} required")
     A = wickalg.WickElement.from_json(_field(doc, "a"))
     B = wickalg.WickElement.from_json(_field(doc, "b"))
+    refuse_large_tensor(A.d, A.max_degree() + B.max_degree())  # the product's top chaos
     return {"element": wickalg.multiply(A, B, args.q).to_json()}
 
 
@@ -159,6 +160,11 @@ def _cmd_norm(args):
     A = wickalg.WickElement.from_json(_field(doc, "element"))
     out = {"triple_norm": wickalg.triple_norm(A, args.q)}
     if args.cutoff is not None:
+        side = 0  # of the stacked matrix over sectors 0..cutoff, at d = 1 too
+        for k in range(args.cutoff + 1):
+            side += A.d ** k
+            if side * side > MAX_TENSOR_ENTRIES:
+                raise ValueError(f"the sector matrix would pass {MAX_TENSOR_ENTRIES} entries")
         op = wickalg.to_operator(A, args.q, args.cutoff)
         sectors = sorted(op.exact_sectors)
         out["operator_norm_estimate"] = fock.operator_norm(op, sectors)
@@ -177,6 +183,8 @@ def _cmd_delta_r(args):
         raise ValueError("'pi' must be a list of [s, t] index pairs and 'operators' a list")
     pi = combinat.Pairing(tuple(tuple(p) for p in pi), pattern.leg_context())
     As = [wickalg.WickElement.from_json(a) for a in operators]
+    # the top chaos of F's legs with every operand's top chaos spliced in
+    refuse_large_tensor(F.d, F.degree + sum(a.max_degree() for a in As))
     return {"element": polywick.delta_R(pattern, pi, F, As, args.q).to_json()}
 
 

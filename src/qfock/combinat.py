@@ -13,20 +13,14 @@ Labels are arbitrary naturals, not necessarily ``1..n``, so that sub-pairings
 keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
-One engine, ``pairing_table``, enumerates every pairing sum in the package
-(``wickalg.multiply`` factorises its sum, ``wickalg.expand_field_product``
-folds ``multiply``, and neither reads a table).  It lists the pairings of
-positions ``0..n-1`` with their ``cr`` and ``sp`` under one rule: each
-position carries the class of the operand it belongs to, and two positions
-may pair when their classes differ.  All pairings make every position its
-own operand, ``tuple(range(n))``; inter-block pairings give each block a
-class; restricted pairings give the legs class 0 and each insert block a
-class of its own, so no two legs pair.  Fixed arcs are never enumerated, the
-positions they cover never pair again, and they count towards the
-statistics.  Tables are cached by shape alone (classes, fixed arcs, ``k``;
-never q or the dimension), for at most ``TABLE_CACHE_SIZE`` shapes.
-``enumerate_pairings`` lists the all-pairings table as ``Pairing`` values
-over a label set.
+One engine, ``pairing_table``, lists the pairings of positions ``0..n-1``
+with their ``cr`` and ``sp``, for the sums taken pairing by pairing
+(``wickalg.moment`` and ``enumerate_pairings``).  The Wick product
+(``wickalg.multiply``) and the insertion product
+(``polywick.restricted_wick``) factorise their sums and read no table.
+Tables are cached by shape alone (``n`` and ``k``; never q or the
+dimension), for at most ``TABLE_CACHE_SIZE`` shapes.  ``enumerate_pairings``
+lists a table as ``Pairing`` values over a label set.
 """
 from __future__ import annotations
 
@@ -180,62 +174,46 @@ TABLE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def pairing_table(classes: tuple, fixed: tuple = (), k: int | None = None) -> tuple:
-    """The pairings of positions ``0..n-1`` that join different classes, as ``(pairs, cr, sp)``.
+def pairing_table(n: int, k: int | None = None) -> tuple:
+    """The pairings of positions ``0..n-1``, as ``(pairs, cr, sp)``.
 
-    Positions ``s < t`` may pair when ``classes[s] != classes[t]`` and no
-    ``fixed`` arc covers either.  ``fixed`` arcs are not enumerated, but
-    ``cr`` and ``sp`` are those of ``fixed ∪ pairs``, a free position being
-    one no arc covers.  With ``k``, only pairings of exactly ``k`` arcs are
-    listed.  ``pairs`` is sorted by first position and the entries come in
-    lexicographic order of ``pairs``.
+    With ``k``, only pairings of exactly ``k`` arcs are listed.  ``pairs`` is
+    sorted by first position and the entries come in lexicographic order of
+    ``pairs``.
 
-    >>> for entry in pairing_table((0, 0, 1)):
+    >>> for entry in pairing_table(3):
     ...     print(entry)
     ((), 0, 0)
+    (((0, 1),), 0, 0)
     (((0, 2),), 0, 1)
     (((1, 2),), 0, 0)
     """
-    n = len(classes)
     if k is not None and k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     covered = [False] * n
     arcs: list[tuple[int, int]] = []
-
-    def crossings(s: int, t: int) -> int:
-        return sum(1 for a, b in arcs if a < s < b < t or s < a < t < b)
-
-    cr0 = 0
-    for s, t in fixed:
-        if not 0 <= s < t < n or covered[s] or covered[t]:
-            raise ValueError(f"fixed arc ({s}, {t}) leaves 0..{n - 1} or meets another arc")
-        cr0 += crossings(s, t)
-        arcs.append((s, t))
-        covered[s] = covered[t] = True
-    n_fixed = len(arcs)
     table = []
 
     # Arcs are placed in increasing order of their first position, which
     # yields the pairings in lexicographic order.
     def rec(start: int, cr: int) -> None:
-        depth = len(arcs) - n_fixed
-        if k is None or depth == k:
+        if k is None or len(arcs) == k:
             sp = sum(1 for a, b in arcs for x in range(a + 1, b) if not covered[x])
-            table.append((tuple(arcs[n_fixed:]), cr, sp))
-            if depth == k:
+            table.append((tuple(arcs), cr, sp))
+            if len(arcs) == k:
                 return
         # open positions from s on; one skipped over stays free
         remaining = sum(1 for i in range(start, n) if not covered[i])
         for s in range(start, n):
             if covered[s]:
                 continue
-            if k is not None and 2 * (k - depth) > remaining:
+            if k is not None and 2 * (k - len(arcs)) > remaining:
                 break
             remaining -= 1
             covered[s] = True
             for t in range(s + 1, n):
-                if not covered[t] and classes[s] != classes[t]:
-                    extra = crossings(s, t)
+                if not covered[t]:
+                    extra = sum(1 for a, b in arcs if a < s < b < t)
                     arcs.append((s, t))
                     covered[t] = True
                     rec(s + 1, cr + extra)
@@ -243,7 +221,7 @@ def pairing_table(classes: tuple, fixed: tuple = (), k: int | None = None) -> tu
                     arcs.pop()
             covered[s] = False
 
-    rec(0, cr0)
+    rec(0, 0)
     return tuple(table)
 
 
@@ -257,7 +235,7 @@ def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]
     [(), ((1, 2),), ((1, 3),), ((2, 3),)]
     """
     labels = context.elements
-    table = pairing_table(tuple(range(len(context))), (), k)
+    table = pairing_table(len(context), k)
     return [Pairing(tuple((labels[s], labels[t]) for s, t in pairs), context)
             for pairs, _, _ in table]
 

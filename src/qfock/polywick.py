@@ -5,7 +5,8 @@ bounded operators placed between them.  The insertion product expands every
 inserted operator over its chaos components, splices those legs into the row,
 and sums over the admissible cross pairings with weight ``q^crb`` evaluated in
 the full spliced row (the legs removed by a prior partial contraction
-still occupy their positions and contribute to the weight).
+still occupy their positions and contribute to the weight).  One
+left-to-right pass over the row builds the sum, listing no pairing.
 
 The counterterm calculus at the end assigns to a fully paired leg
 configuration the monomial ``q^cr · Δ^sp`` where ``sp`` counts insertion slots
@@ -19,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from .combinat import IndexSet, Pairing, contraction_stats, enumerate_pairings, pairing_table
+from .combinat import IndexSet, Pairing, contraction_stats, enumerate_pairings
 from .fock import FockTensor
 from .wickalg import WickElement, delta_q, multiply, sum_chaos
 
@@ -77,6 +78,29 @@ class InsertionPattern:
 # ---------------------------------------------------------------------------
 
 
+def _merged(states) -> dict:
+    """Sum the tensors of equal label tuples, in the order given."""
+    out: dict = {}
+    for labels, X in states:
+        out[labels] = out[labels] + X if labels in out else X
+    return out
+
+
+def _arrivals(states: dict, c: int, q: float):
+    """Axis 0, of operand c, moves to the back as an open position, or closes an
+    arc with an open position of another operand: a trace weighted by ``q`` to
+    the number of labels after that position."""
+    for labels, X in states.items():
+        yield labels + (c,), np.transpose(X, (*range(1, X.ndim), 0))
+        axis = X.ndim - sum(1 for b in labels if b >= 0)
+        for p, b in enumerate(labels):
+            if b >= 0:
+                if b != c:
+                    yield (labels[:p] + labels[p + 1:],
+                           q ** (len(labels) - 1 - p) * np.trace(X, 0, 0, axis))
+                axis += 1
+
+
 def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
                     Gs, q: float) -> WickElement:
     """Insertion product of F's legs with one chaos tensor per INSERT slot.
@@ -86,50 +110,39 @@ def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
     j.  Sums over pairings that join remaining legs to inserted legs or legs
     of distinct inserts, weighting each by ``q^crb`` of the union with ``pi``
     over the full row.
+
+    One pass over ``pattern.slots`` builds it.  A state maps the labels of
+    the open positions (0 for F, j for ``Gs[j-1]``, ``-s`` for an arc of
+    ``pi`` opened at slot s, with no axis) to a tensor whose axes are the
+    positions not yet reached, then the open ones.  Each position open inside
+    an arc is free at the end (``sp``) or closes beyond it (a crossing), so
+    the arc weighs ``q`` to the number of labels after its first end.
     """
     Gs = list(Gs)
     if len(Gs) != pattern.n_inserts:
         raise ValueError(f"expected {pattern.n_inserts} insert tensors, got {len(Gs)}")
     if pi.context != pattern.leg_context():
         raise ValueError("pairing context must be the pattern's legs")
-    d = F.d
-    free_legs = pi.free()
-    if F.degree != len(free_legs):
-        raise ValueError(f"tensor degree {F.degree} != {len(free_legs)} remaining legs")
-
-    # Lay out the spliced row: one row per leg slot and one per axis of
-    # each inserted tensor.  A row's class is the operand carrying its axis
-    # (0 for F, j for the j-th insert), or None for a leg that pi contracts:
-    # its fixed arc keeps the engine from pairing it again.
-    classes: list[int | None] = []
-    row_of_leg: dict[int, int] = {}
-    j = 0
+    if F.degree != len(pi.free()):
+        raise ValueError(f"tensor degree {F.degree} != {len(pi.free())} remaining legs")
+    closes = {t: s for s, t in pi.pairs}
+    states = {(): F.data}
+    inserts = iter(enumerate(Gs, 1))
     for slot, kind in enumerate(pattern.slots, 1):
-        if kind == LEG:
-            row_of_leg[slot] = len(classes)
-            classes.append(0 if slot in free_legs else None)
+        if kind == INSERT:
+            j, G = next(inserts)
+            states = {labels: np.multiply.outer(G.data, X) for labels, X in states.items()}
+            for _ in range(G.degree):
+                states = _merged(_arrivals(states, j, q))
+        elif slot in closes:
+            arc = -closes[slot]
+            states = _merged((labels[:p] + labels[p + 1:], q ** (len(labels) - 1 - p) * X)
+                             for labels, X in states.items() for p in [labels.index(arc)])
+        elif slot in pi.covered():
+            states = {labels + (-slot,): X for labels, X in states.items()}
         else:
-            j += 1
-            classes.extend([j] * Gs[j - 1].degree)
-    fixed = tuple((row_of_leg[s], row_of_leg[t]) for s, t in pi.pairs)
-    table = pairing_table(tuple(classes), fixed)
-    operands = [F.data] + [G.data for G in Gs]
-    rows = [r for r, c in enumerate(classes) if c is not None]
-
-    def terms():
-        # contract: rows paired by sigma share an einsum label
-        for sigma, cr, sp in table:
-            label = {r: i for i, r in enumerate(rows)}
-            for x, y in sigma:
-                label[y] = label[x]
-            paired = {r for pair in sigma for r in pair}
-            args = []
-            for op, data in enumerate(operands):
-                args.extend([data, [label[r] for r in rows if classes[r] == op]])
-            args.append([label[r] for r in rows if r not in paired])
-            yield q ** (cr + sp) * np.einsum(*args)
-
-    return sum_chaos(d, terms())
+            states = _merged(_arrivals(states, 0, q))
+    return sum_chaos(F.d, states.values())
 
 
 def delta_R(pattern: InsertionPattern, pi: Pairing, F: FockTensor,

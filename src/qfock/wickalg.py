@@ -286,7 +286,7 @@ def moment(vectors, q: float) -> float:
         return 1.0
     gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
     total = 0.0
-    for pairs, cr, _ in pairing_table(tuple(range(n)), (), n // 2):
+    for pairs, cr, _ in pairing_table(n, n // 2):
         term = q ** cr
         for s, t in pairs:
             term *= gram[s, t]

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,21 @@ def random_tensor(rng, d, degree):
 
 def random_element(rng, d, max_chaos):
     return WickElement(d, {k: random_tensor(rng, d, k) for k in range(max_chaos + 1)})
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run the given seconds."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def inverse_perm(perm):

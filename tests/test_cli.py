@@ -3,11 +3,12 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qfock import cli, combinat, jsonio, qsde, verify, wickalg
+from qfock import cli, combinat, jsonio, polywick, qsde, verify, wickalg
 from qfock.cli import MAX_PAIRINGS, MAX_TENSOR_ENTRIES, run
 from qfock.polywick import quartic_2d_configs
 from qfock.wickalg import WickElement, expand_field_product, wick_product_vectors
@@ -134,6 +135,65 @@ def test_largest_admitted_rough_path_tensors(monkeypatch, tmp_path, capsys):
         span = ["--s", "0", "--t", "1", "--cells", str(cells), *extra]
         assert _capture(capsys, ["levy", *span])[0] == 0
         assert _capture(capsys, ["chen", "--u", "1", *span])[0] == 0
+
+
+def _zero_element(d, degree):
+    """A pure chaos element whose coefficient is all zero: a few bytes name d**degree entries."""
+    return {"d": d, "chaos": {str(degree): {"d": d, "degree": degree, "coeffs": []}}}
+
+
+_LIL = {"slots": [{"type": "leg"}, {"type": "insert"}, {"type": "leg"}]}
+
+
+def _product_inputs(tmp_path, a_degree, b_degree, outer_degree):
+    """Inputs of multiply (two d = 2 elements) and delta-r (LIL at d = 64, F of degree 2)."""
+    pair, lil = tmp_path / "pair.json", tmp_path / "lil.json"
+    pair.write_text(json.dumps({"a": _zero_element(2, a_degree), "b": _zero_element(2, b_degree)}))
+    lil.write_text(json.dumps({
+        "pattern": _LIL, "f": {"d": 64, "degree": 2, "coeffs": []},
+        "operators": [_zero_element(64, outer_degree), _zero_element(64, 1),
+                      _zero_element(64, 1)]}))
+    return [["multiply", "--q", "0.5", "--input", str(pair)],
+            ["delta-r", "--q", "0.5", "--input", str(lil)]]
+
+
+def test_large_products_are_refused_before_building(tmp_path, capsys):
+    # the top chaos is the sum of the operands' top degrees: 2^(12+13) for
+    # multiply, and 64^(2+1+1+1) for delta-r
+    for argv in _product_inputs(tmp_path, 12, 13, 1):
+        _refused_under_small_peak(capsys, argv, MAX_TENSOR_ENTRIES)
+
+
+def test_largest_admitted_products(monkeypatch, tmp_path, capsys):
+    # 2^(12+12) and 64^(2+0+1+1) = 2^24 entries pass the guards; the products
+    # are stubbed out
+    monkeypatch.setattr(wickalg, "multiply", lambda *_: WickElement.one(1))
+    monkeypatch.setattr(polywick, "delta_R", lambda *_: WickElement.one(1))
+    for argv in _product_inputs(tmp_path, 12, 12, 0):
+        assert _capture(capsys, argv)[0] == 0
+
+
+def test_large_sector_matrices_are_refused_before_building(tmp_path, capsys):
+    # norm --cutoff stacks the sectors 0..cutoff: (cutoff + 1)^2 entries at
+    # d = 1, and (2^(cutoff+1) - 1)^2 at d = 2
+    path = tmp_path / "element.json"
+    for d, cutoff in [(1, 4096), (1, 10 ** 9), (2, 12)]:
+        path.write_text(json.dumps({"element": _zero_element(d, 1)}))
+        _refused_under_small_peak(capsys, ["norm", "--q", "0.5", "--input", str(path),
+                                           "--cutoff", str(cutoff)], MAX_TENSOR_ENTRIES)
+
+
+def test_largest_admitted_sector_matrices(monkeypatch, tmp_path, capsys):
+    # 4096^2 entries at d = 1 and 4095^2 at d = 2 pass the guard; the operator
+    # and its norm are stubbed out
+    monkeypatch.setattr(wickalg, "to_operator", lambda *_: SimpleNamespace(exact_sectors={0}))
+    monkeypatch.setattr(cli.fock, "operator_norm", lambda *_: 1.0)
+    path = tmp_path / "element.json"
+    for d, cutoff in [(1, 4095), (2, 11)]:
+        path.write_text(json.dumps({"element": _zero_element(d, 1)}))
+        code, doc, _ = _capture(capsys, ["norm", "--q", "0.5", "--input", str(path),
+                                         "--cutoff", str(cutoff)])
+        assert code == 0 and doc["outputs"]["operator_norm_estimate"] == 1.0
 
 
 @pytest.mark.parametrize("doc", [

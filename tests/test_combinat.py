@@ -1,13 +1,14 @@
-import functools
 import itertools
 from math import comb, perm
 
 import pytest
 
+from pairing_reference import all_pairings, reference_table, restricted_wick_by_pairings, stats
 from qfock.combinat import (CosetRep, IndexSet, Pairing, contraction_stats, coset_reps,
                             double_factorial_odd, enumerate_pairings, mirror_double,
                             pairing_table)
-from qfock.polywick import counterterm_monomial
+from qfock.fock import FockTensor
+from qfock.polywick import INSERT, LEG, InsertionPattern, counterterm_monomial, restricted_wick
 from qfock.wickalg import norm_constants
 
 
@@ -55,48 +56,15 @@ def test_pairing_validation():
         Pairing(((1, 2), (2, 3)), ctx)
 
 
-# -- the pairing engine against brute force ----------------------------------------
+# -- the pairing engine and the restricted product against brute force --------------
 
 
-@functools.lru_cache(maxsize=None)
-def _all_pairings(positions):
-    """Every partial pairing of ``positions``, in lexicographic order."""
-    def rec(rest):
-        if not rest:
-            yield ()
-            return
-        head, tail = rest[0], rest[1:]
-        yield from rec(tail)
-        for i, other in enumerate(tail):
-            for p in rec(tail[:i] + tail[i + 1:]):
-                yield ((head, other),) + p
-
-    return sorted(rec(positions))
-
-
-@functools.lru_cache(maxsize=None)
-def _stats(arcs, n):
-    """(cr, sp) by definition: crossing arc pairs, and free positions inside arcs."""
-    covered = {x for arc in arcs for x in arc}
-    cr = sum(1 for (i, j), (k, l) in itertools.combinations(arcs, 2)
-             if i < k < j < l or k < i < l < j)
-    sp = sum(1 for s, t in arcs for x in range(n) if x not in covered and s < x < t)
-    return cr, sp
-
-
-def _reference_table(classes, fixed=()):
-    fixed_pos = {x for arc in fixed for x in arc}
-    open_pos = [i for i in range(len(classes)) if i not in fixed_pos]
-    return [(pairs, *_stats(tuple(fixed) + pairs, len(classes)))
-            for pairs in _all_pairings(tuple(open_pos))
-            if all(classes[s] != classes[t] for s, t in pairs)]
-
-
-def _check_table(classes, fixed=()):
-    table = pairing_table(tuple(classes), tuple(fixed))
+def _check_table(n, k=None):
+    table = pairing_table(n, k)
     forms = [pairs for pairs, _, _ in table]
     assert forms == sorted(set(forms))
-    assert list(table) == _reference_table(classes, fixed)
+    assert table == tuple(e for e in reference_table(tuple(range(n)))
+                          if k is None or len(e[0]) == k)
     return table
 
 
@@ -122,25 +90,28 @@ def _involutions(n):
 def test_engine_one_class_counts_order_and_stats():
     # every position its own operand: all pairings
     for n in range(9):
-        table = _check_table(tuple(range(n)))
+        table = _check_table(n)
         assert len(table) == _involutions(n)
         for k in range(n // 2 + 2):
-            assert pairing_table(tuple(range(n)), (), k) == \
-                tuple(e for e in table if len(e[0]) == k)
+            assert _check_table(n, k) == tuple(e for e in table if len(e[0]) == k)
 
 
 def test_engine_cross_counts():
+    # the reference's class rule: cross pairings of two blocks
     for m in range(9):
         for n in range(9 - m):
-            table = _check_table((0,) * m + (1,) * n)
+            table = reference_table((0,) * m + (1,) * n)
             assert len(table) == sum(comb(m, k) * perm(n, k) for k in range(min(m, n) + 1))
 
 
 def test_engine_interblock_layouts():
+    # the pairings whose arcs join different blocks, statistics included, are
+    # the engine's all-pairings entries whose arcs do
     for n in range(9):
         for sizes in _compositions(n):
-            classes = [b for b, size in enumerate(sizes) for _ in range(size)]
-            _check_table(classes)
+            classes = tuple(b for b, size in enumerate(sizes) for _ in range(size))
+            assert reference_table(classes) == tuple(
+                e for e in pairing_table(n) if all(classes[s] != classes[t] for s, t in e[0]))
 
 
 def _restricted_layouts(n):
@@ -157,27 +128,42 @@ def _restricted_layouts(n):
     return rec([], 0)
 
 
-def test_engine_restricted_layouts():
-    # every layout up to n = 7; at n = 8 those with at most two inserts, as in
-    # LILIL (all 1597 of them would take several seconds more)
-    for n in range(9):
-        for classes in _restricted_layouts(n):
-            n_inserts = max(classes, default=0)
-            if n < 8 or n_inserts <= 2:
-                _check_table(classes)
+def _check_restricted_layout(classes, rng, contract, dims=(1, 2, 3)):
+    """``restricted_wick`` against the per-pairing reference on one layout.
+
+    Each insert block is one INSERT slot whose tensor has an axis per row.
+    With ``contract``, every pairing of the legs is the prior contraction;
+    otherwise only the empty one.
+    """
+    pattern = InsertionPattern(LEG if c == 0 else INSERT
+                               for i, c in enumerate(classes) if c == 0 or c not in classes[:i])
+    degrees = [classes.count(j) for j in range(1, max(classes, default=0) + 1)]
+    ctx = pattern.leg_context()
+    pis = enumerate_pairings(ctx) if contract else [Pairing.empty(ctx)]
+    for pi, d in itertools.product(pis, dims):
+        F = FockTensor(d, rng.standard_normal((d,) * len(pi.free())))
+        Gs = [FockTensor(d, rng.standard_normal((d,) * k)) for k in degrees]
+        for q in (0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
+            ref = restricted_wick_by_pairings(pattern, pi, F, Gs, q)
+            gap = (restricted_wick(pattern, pi, F, Gs, q) - ref).max_abs_coeff()
+            assert gap <= 1e-14 * ref.max_abs_coeff(), (classes, pi.pairs, d, q)
 
 
-def test_engine_restricted_layouts_with_contracted_legs():
-    # restricted_wick: legs that a prior pairing contracts keep their rows,
-    # marked None as restricted_wick marks them, and their fixed arcs keep
-    # them from pairing again
-    for n in range(7):
+def test_engine_restricted_layouts(rng):
+    # the layouts of 6 rows, the legs all free, at d = 1, 2 (at d = 3 they
+    # would take several seconds more)
+    before = pairing_table.cache_info()
+    for classes in _restricted_layouts(6):
+        _check_restricted_layout(classes, rng, contract=False, dims=(1, 2))
+    assert pairing_table.cache_info() == before
+
+
+def test_engine_restricted_layouts_with_contracted_legs(rng):
+    # every layout of 1 to 5 rows with every prior contraction of its legs,
+    # which keep their positions in the row and count towards the weight
+    for n in range(1, 6):
         for classes in _restricted_layouts(n):
-            legs = [i for i, c in enumerate(classes) if c == 0]
-            for pi in _all_pairings(tuple(legs)):
-                contracted = {x for arc in pi for x in arc}
-                layout = [None if i in contracted else c for i, c in enumerate(classes)]
-                _check_table(layout, pi)
+            _check_restricted_layout(classes, rng, contract=True)
 
 
 def test_engine_counterterm_layouts():
@@ -186,18 +172,14 @@ def test_engine_counterterm_layouts():
         for inserts in itertools.product((False, True), repeat=n):
             legs = tuple(i for i in range(n) if not inserts[i])
             slots = [i for i in range(n) if inserts[i]]
-            for pi in _all_pairings(legs):
+            for pi in all_pairings(legs):
                 if 2 * len(pi) == len(legs):
-                    assert counterterm_monomial(len(legs), slots, pi) == _stats(pi, n)
+                    assert counterterm_monomial(len(legs), slots, pi) == stats(pi, n)
 
 
 def test_engine_rejects_bad_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
-        pairing_table((0, 1), (), -1)
-    with pytest.raises(ValueError, match="arc"):
-        pairing_table((0, 1, 2), ((0, 3),))
-    with pytest.raises(ValueError, match="arc"):
-        pairing_table((0, 1, 2), ((0, 1), (1, 2)))
+        pairing_table(2, -1)
 
 
 # -- statistics -----------------------------------------------------------------
@@ -252,26 +234,26 @@ def test_crb_append_recursion():
 
 def test_interblock_pairings():
     # two blocks {0, 1} and {2, 3}
-    got = [pairs for pairs, _, _ in pairing_table((0, 0, 1, 1))]
+    got = [pairs for pairs, _, _ in reference_table((0, 0, 1, 1))]
     assert got == [(), ((0, 2),), ((0, 2), (1, 3)), ((0, 3),), ((0, 3), (1, 2)),
                    ((1, 2),), ((1, 3),)]
 
-    assert [pairs for pairs, _, _ in pairing_table((0,) * 4)] == [()]
-    assert [pairs for pairs, _, _ in pairing_table((0, 1))] == \
+    assert [pairs for pairs, _, _ in reference_table((0,) * 4)] == [()]
+    assert [pairs for pairs, _, _ in reference_table((0, 1))] == \
         [(), ((0, 1),)]
 
 
 def test_restricted_pairings():
     # legs are class 0 and may not pair with each other; each insert block has its own class
-    got = {pairs for pairs, _, _ in pairing_table((0, 1, 0))}
+    got = {pairs for pairs, _, _ in reference_table((0, 1, 0))}
     assert got == {(), ((0, 1),), ((1, 2),)}
 
-    got = {pairs for pairs, _, _ in pairing_table((0, 1, 1, 0))}
+    got = {pairs for pairs, _, _ in reference_table((0, 1, 1, 0))}
     assert got == {(), ((0, 1),), ((0, 2),), ((1, 3),), ((2, 3),),
                    ((0, 1), (2, 3)), ((0, 2), (1, 3))}
 
     # an empty insert block between two legs
-    assert [pairs for pairs, _, _ in pairing_table((0, 0))] == [()]
+    assert [pairs for pairs, _, _ in reference_table((0, 0))] == [()]
 
 
 # -- coset representatives ---------------------------------------------------------

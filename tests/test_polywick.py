@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_element
+from conftest import random_element, random_tensor, time_limit
 from qfock.combinat import Pairing, contraction_stats, enumerate_pairings, pairing_table
 from qfock.fock import FockTensor, field_operator
-from qfock.polywick import (LEG, DeltaPolynomial, InsertionPattern,
+from qfock.polywick import (INSERT, LEG, DeltaPolynomial, InsertionPattern,
                             counterterm_monomial, counterterm_polynomial,
                             delta_R, disentangle_check,
                             quartic_2d_configs, quartic_3d_configs,
@@ -287,6 +287,20 @@ def test_disentangle_on_the_matrix_route(pattern, q, rng):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("d, chaos", [(1, 8), (2, 6)])
+def test_disentangle_with_high_chaos_inserts_is_fast(d, chaos, rng):
+    # two pure high-chaos inserts: the insertion product's work grows with the
+    # tuples of open positions, where a sum over its pairings would take minutes
+    pat = InsertionPattern.from_string("LILIL")
+    one = WickElement.one(d)
+    with time_limit(10):
+        for q in (-0.9, -0.5, 0.5, 0.9):
+            fs = [rng.standard_normal(d) for _ in range(3)]
+            Gs = [WickElement.from_tensor(random_tensor(rng, d, chaos)) for _ in range(2)]
+            lhs, rhs = disentangle_check(pat, fs, [one, *Gs, one], q)
+            assert (lhs - rhs).max_abs_coeff() <= 1e-12 * lhs.max_abs_coeff()
+
+
 # -- norm estimates --------------------------------------------------------------------
 
 
@@ -388,6 +402,26 @@ def test_quartic_3d_polynomial():
     assert poly == target
     assert sum(poly.coeffs.values()) == 18
     assert poly.evaluate(1.0, 1.0) == 18
+
+
+@pytest.mark.parametrize("q", [0.5, -0.7, 0.0])
+@pytest.mark.parametrize("family", [quartic_2d_configs, quartic_3d_configs])
+def test_counterterm_polynomial_matches_delta_r(family, q, rng):
+    # a second route to each counterterm: a configuration is a full pairing of
+    # the legs of a row with one insert slot, and its delta_R with unit outer
+    # operators and no free legs is q^cr Δ_q^sp(A)
+    d = 2
+    A = random_element(rng, d, 3)
+    one = WickElement.one(d)
+    total = WickElement.zero(d)
+    for _, inserts, pairs in family():
+        labels = sorted({x for pair in pairs for x in pair} | set(inserts))
+        slot = {x: i for i, x in enumerate(labels, 1)}
+        pattern = InsertionPattern(INSERT if x in inserts else LEG for x in labels)
+        pi = Pairing(tuple((slot[s], slot[t]) for s, t in pairs), pattern.leg_context())
+        total = total + delta_R(pattern, pi, FockTensor.scalar(d, 1.0), [one, A, one], q)
+    expect = counterterm_polynomial(family()).apply(A, q)
+    assert (total - expect).max_abs_coeff() <= 1e-13 * expect.max_abs_coeff()
 
 
 def test_counterterm_polynomial_reads_no_pairing_table():

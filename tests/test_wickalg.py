@@ -1,13 +1,12 @@
-import contextlib
 import itertools
 import math
-import signal
 
 import numpy as np
 import pytest
 
-from conftest import Q_GRID, random_element, random_tensor
-from qfock.combinat import TABLE_CACHE_SIZE, Pairing, pairing_table
+from conftest import Q_GRID, random_element, random_tensor, time_limit
+from pairing_reference import reference_table
+from qfock.combinat import TABLE_CACHE_SIZE, IndexSet, Pairing, enumerate_pairings, pairing_table
 from qfock.fock import (FockTensor, FockVector, TruncationError, field_operator,
                         operator_norm, wick_operator)
 from qfock.polywick import InsertionPattern, restricted_wick
@@ -167,7 +166,7 @@ def pairing_sum_expansion(fs, q):
     fs = [np.asarray(f, dtype=float) for f in fs]
     n, d = len(fs), len(fs[0])
     terms: dict[int, list] = {}
-    for pairs, cr, sp in pairing_table(tuple(range(n))):
+    for pairs, cr, sp in pairing_table(n):
         coeff = q ** (cr + sp) * math.prod(float(np.dot(fs[s], fs[t])) for s, t in pairs)
         paired = {x for pair in pairs for x in pair}
         free = [f for i, f in enumerate(fs) if i not in paired]
@@ -233,21 +232,6 @@ def test_multiply_pure_square_closed_form():
         assert float(sq.coeff(4).data.reshape(-1)[0]) == pytest.approx(1.0)
         assert float(sq.coeff(2).data.reshape(-1)[0]) == pytest.approx((1 + q) ** 2)
         assert vacuum_expectation(sq) == pytest.approx(1 + q)
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run the given seconds."""
-    def stop(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def q_hermite_coefficients(m, n, q):
@@ -327,7 +311,7 @@ def pairing_sum_product(A, B, q):
         F = A.chaos[m].data.astype(np.longdouble)
         for n in sorted(B.chaos):
             G = B.chaos[n].data.astype(np.longdouble)
-            for pairs, cr, sp in pairing_table((0,) * m + (1,) * n):
+            for pairs, cr, sp in reference_table((0,) * m + (1,) * n):
                 if pairs:
                     axes = ([s for s, _ in pairs], [t - m for _, t in pairs])
                     data = np.tensordot(F, G, axes=axes)
@@ -367,7 +351,7 @@ def test_cross_pairing_statistics_factorise():
     # in T
     for m in range(5):
         for n in range(5):
-            for pairs, cr, sp in pairing_table((0,) * m + (1,) * n):
+            for pairs, cr, sp in reference_table((0,) * m + (1,) * n):
                 S = [s for s, _ in pairs]
                 T = [t - m for _, t in pairs]
                 free_left = [x for x in range(m) if x not in S]
@@ -521,7 +505,7 @@ def test_weighted_contraction_count_bound():
         for sizes in layouts:
             classes = tuple(b for b, size in enumerate(sizes) for _ in range(size))
             total = 0.0
-            for pairs, cr, sp in pairing_table(classes):
+            for pairs, cr, sp in reference_table(classes):
                 free = len(classes) - 2 * len(pairs)
                 total += (free + 1) * D ** free * abs(q) ** (cr + sp)
             bound = D ** len(classes) * np.prod([s + 1 for s in sizes])
@@ -602,13 +586,10 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
     info = pairing_table.cache_info()
     assert info.maxsize == TABLE_CACHE_SIZE
     assert info.currsize <= TABLE_CACHE_SIZE
-    pattern = InsertionPattern.from_string("LILIL")
 
     def read_tables(d, q):
         moment([rng.standard_normal(d) for _ in range(6)], q)
-        restricted_wick(pattern, Pairing.empty(pattern.leg_context()),
-                        random_tensor(rng, d, 3),
-                        [random_tensor(rng, d, 2), random_tensor(rng, d, 1)], q)
+        enumerate_pairings(IndexSet.range(5))
 
     read_tables(2, 0.5)
     misses = pairing_table.cache_info().misses
@@ -617,7 +598,10 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
         read_tables(d, q)
     after = pairing_table.cache_info()
     assert after.misses == misses
-    # the product and the expansion read no table at all
+    # the two products and the expansion read no table at all
     multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
+    pattern = InsertionPattern.from_string("LILIL")
+    restricted_wick(pattern, Pairing.empty(pattern.leg_context()), random_tensor(rng, 2, 3),
+                    [random_tensor(rng, 2, 2), random_tensor(rng, 2, 1)], 0.5)
     expand_field_product([rng.standard_normal(2) for _ in range(5)], 0.5)
     assert pairing_table.cache_info() == after
