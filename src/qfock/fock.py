@@ -6,15 +6,20 @@ Everything acts on the truncated Fock space ``⊕_{k<=N} H^{⊗k}`` over a real
 ``d``-dimensional one-particle space.  Operators track on which input sectors
 they are *exact* (no intermediate result ever leaves the truncation); applying
 an operator outside its exact range raises ``TruncationError`` instead of
-silently truncating.  Sector blocks are materialised lazily and cached, since
-a block from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries.  Every
-operator is a Wick assembly or a composition of them: all Wick blocks of an
-element come from one pass of a stacked annihilation per sector, and
-creation, annihilation, the field and ``c·Id`` are Wick operators of
-chaos 0 or 1.  Sums and multiples are taken on ``restricted_matrix`` arrays.
+silently truncating.  An operator is a map on column batches: it takes a
+``(d^k, batch)`` array of sector-``k`` vectors to the ``(d^{k'}, batch)``
+arrays of the sectors it reaches.  A dense sector block is that map applied
+to the identity batch, built only when asked for and cached, since a block
+from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries; a composition
+chains the two maps and builds no block of either factor.  Every operator is
+a Wick assembly or a composition of them: all Wick terms of an element act
+in one pass of a stacked annihilation per sector, and creation, annihilation,
+the field and ``c·Id`` are Wick operators of chaos 0 or 1.  Sums and
+multiples are taken on ``restricted_matrix`` arrays.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -208,6 +213,20 @@ def pq_matrix(d: int, n: int, q: float) -> np.ndarray:
     return _pq_tail(batch, n, q).reshape(dim, dim).T
 
 
+PQ_CHOLESKY_CACHE_SIZE = 64  # factors kept: a grid of up to 7 values of q at cutoff <= 8
+
+
+@functools.lru_cache(maxsize=PQ_CHOLESKY_CACHE_SIZE)
+def _pq_cholesky(d: int, k: int, q: float) -> np.ndarray:
+    """The read-only lower Cholesky factor of ``pq_matrix(d, k, q)``.
+
+    Raises ``np.linalg.LinAlgError`` if P_q is not positive definite.
+    """
+    L = np.linalg.cholesky(pq_matrix(d, k, q))
+    L.flags.writeable = False
+    return L
+
+
 def q_inner(left: FockTensor, right: FockTensor, q: float) -> float:
     """The q-twisted inner product ``<F, P_q G>``; zero across degrees."""
     if left.d != right.d:
@@ -227,14 +246,17 @@ class TruncatedOperator:
     """A linear map between particle sectors of the truncated Fock space.
 
     ``out_map[k]`` lists the sectors that input sector ``k`` can reach; input
-    sectors absent from ``out_map`` are not exact.  Blocks are dense matrices
-    of shape ``(d^{k_out}, d^{k_in})``, built lazily by ``_maker`` and cached.
+    sectors absent from ``out_map`` are not exact.  The operator is the map
+    ``_act(k_in, X)``: a ``(d^{k_in}, batch)`` array of sector vectors goes to
+    ``{k_out: (d^{k_out}, batch)}``.  A block, the dense matrix of shape
+    ``(d^{k_out}, d^{k_in})``, is that map applied to the identity batch,
+    built on first use and cached.
     """
 
     d: int
     cutoff: int
     out_map: dict[int, tuple[int, ...]]
-    _maker: object  # callable: k_in -> dict[k_out, ndarray]
+    _act: object  # callable: (k_in, (d^k_in, batch) array) -> dict[k_out, ndarray]
     _cache: dict | None = None
 
     def __post_init__(self):
@@ -245,13 +267,16 @@ class TruncatedOperator:
     def exact_sectors(self) -> set[int]:
         return set(self.out_map)
 
-    def block(self, k_in: int) -> dict[int, np.ndarray]:
+    def act(self, k_in: int, X: np.ndarray) -> dict[int, np.ndarray]:
+        """The images of the columns of X, a ``(d^{k_in}, batch)`` array, by sector."""
         if k_in not in self.out_map:
             raise TruncationError(
                 f"operator is not exact on input sector {k_in} (cutoff {self.cutoff})")
+        return self._act(k_in, X)
+
+    def block(self, k_in: int) -> dict[int, np.ndarray]:
         if k_in not in self._cache:
-            made = self._maker(k_in)
-            self._cache[k_in] = {k: np.asarray(m, dtype=float) for k, m in made.items()}
+            self._cache[k_in] = self.act(k_in, np.eye(self.d ** k_in))
         return self._cache[k_in]
 
     def apply(self, vec: FockVector) -> FockVector:
@@ -261,10 +286,8 @@ class TruncatedOperator:
         for k, arr in vec.sectors.items():
             if not np.any(arr):
                 continue
-            for k_out, mat in self.block(k).items():
-                flat = mat @ arr.reshape(-1)
-                add = flat.reshape((self.d,) * k_out)
-                out[k_out] = out.get(k_out, 0.0) + add
+            for k_out, col in self.act(k, arr.reshape(-1, 1)).items():
+                out[k_out] = out.get(k_out, 0.0) + col.reshape((self.d,) * k_out)
         return FockVector(self.d, out)
 
     def compose(self, inner: "TruncatedOperator") -> "TruncatedOperator":
@@ -280,14 +303,14 @@ class TruncatedOperator:
                     outs.update(outer.out_map[m])
                 out_map[k] = tuple(sorted(outs))
 
-        def maker(k):
+        def act(k, X):
             out: dict[int, np.ndarray] = {}
-            for mid, bmat in inner.block(k).items():
-                for k_out, amat in outer.block(mid).items():
-                    out[k_out] = out.get(k_out, 0.0) + amat @ bmat
+            for mid, Y in inner.act(k, X).items():
+                for k_out, Z in outer.act(mid, Y).items():
+                    out[k_out] = out.get(k_out, 0.0) + Z
             return out
 
-        return TruncatedOperator(self.d, min(self.cutoff, inner.cutoff), out_map, maker)
+        return TruncatedOperator(self.d, min(self.cutoff, inner.cutoff), out_map, act)
 
     # -- dense restrictions ---------------------------------------------------
 
@@ -353,13 +376,14 @@ def _annihilate(T: np.ndarray, d: int, r: int, q: float) -> np.ndarray:
 
 
 def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
-    """One operator, with one maker, for the Wick terms ``(F, ell)`` summed.
+    """One operator, with one action, for the Wick terms ``(F, ell)`` summed.
 
     A term makes ``k = deg F - ell`` creations after ``ell`` annihilations;
     input sector m is exact if every term with ``ell <= m`` stays within the
-    cutoff.  The maker applies ``_annihilate`` to the batch ``eye(d^m)`` and,
-    after step ``ell``, adds ``hat @ T_ell`` to sector ``m + k - ell``, with
-    ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor, built once if used.
+    cutoff.  The action applies ``_annihilate`` to the batch X of sector-m
+    columns and, after step ``ell``, adds ``hat @ T_ell`` to sector
+    ``m + k - ell``, with ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor,
+    built once if used.  On ``X = eye(d^m)`` these are the sector's blocks.
     """
     out_map: dict[int, tuple[int, ...]] = {}
     for m in range(cutoff + 1):
@@ -372,17 +396,18 @@ def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
             hat = _shuffle_weighted_tensor(F, F.ndim - ell, q)
             by_ell.setdefault(ell, []).append((F.ndim - ell, hat.reshape(-1, d ** ell)))
 
-    def maker(m):
+    def act(m, X):
         out = dict.fromkeys(m + F.ndim - 2 * ell for F, ell in terms if ell <= m)
-        T = np.eye(d ** m).reshape(1, d ** m, d ** m)
+        batch = X.shape[1]
+        T = X.reshape(1, d ** m, batch)
         for ell in range(min(m, max(by_ell, default=0)) + 1):
             T = _annihilate(T, d, m - ell + 1, q) if ell else T
             for k, hat in by_ell.get(ell, ()):
-                blk = (hat @ T.reshape(d ** ell, -1)).reshape(-1, d ** m)
+                blk = (hat @ T.reshape(d ** ell, -1)).reshape(-1, batch)
                 out[m + k - ell] = blk if out[m + k - ell] is None else out[m + k - ell] + blk
         return out
 
-    return TruncatedOperator(d, cutoff, out_map, maker)
+    return TruncatedOperator(d, cutoff, out_map, act)
 
 
 def wick_operator(d: int, tensors: dict, q: float, cutoff: int) -> TruncatedOperator:
@@ -437,8 +462,9 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
     Computed exactly, by a dense SVD of the stacked sector blocks.  With
     ``metric="fq"`` the singular value is taken in the q-twisted geometry,
     which requires |q| < 1: with ``P_q = L L^T`` the Cholesky factor of each
-    sector, the matrix becomes ``L_out^T · M · L_in^{-T}``, which has the
-    singular values of ``P_q^{1/2} · M · P_q^{-1/2}``.
+    sector (cached by ``_pq_cholesky``), the matrix becomes
+    ``L_out^T · M · L_in^{-T}``, which has the singular values of
+    ``P_q^{1/2} · M · P_q^{-1/2}``.
     """
     sectors = sorted(sectors)
     if not sectors:
@@ -451,7 +477,7 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
         if not -1.0 < q < 1.0:
             raise ValueError("q-metric norm requires |q| < 1")
         try:
-            L_in, L_out = (block_diag(*(np.linalg.cholesky(pq_matrix(op.d, k, q)) for k in ks))
+            L_in, L_out = (block_diag(*(_pq_cholesky(op.d, k, q) for k in ks))
                            for ks in (sectors, sectors_out))
         except np.linalg.LinAlgError:
             raise ValueError("metric matrix is not positive definite") from None

@@ -54,8 +54,10 @@ def suite_commutation(seed=0, q_grid=DEFAULT_Q_GRID, d=3):
 
 def suite_wick_oracle(seed=0, q_grid=DEFAULT_Q_GRID, d=2, chaos=2):
     """multiply() agrees with the composed matrix realisation on exact sectors."""
-    # the product's top chaos, and the outer factor's blocks from sector 6 - chaos
-    # to 6; at chaos 0 the stacked sectors 0..6 take (Σ d^k)² < d^13 entries (d >= 3)
+    # the product's top chaos, and the largest array, the stacked matrix from sectors
+    # 0..6 - 2·chaos to 0..6 of (Σ d^k)(Σ d^k) < d^(13 - 2·chaos) entries (d >= 3); the
+    # composition's column batches are smaller.  The looser degree 13 - chaos keeps
+    # the sizes this suite refuses as they were.
     fock.refuse_large_tensor(d, max(2 * chaos, 13 - chaos))
     rng = np.random.default_rng(seed)
     worst = 0.0

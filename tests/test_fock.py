@@ -1,5 +1,6 @@
 import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,8 +309,8 @@ def test_q_block_norm_in_twisted_metric(rng):
 # coefficients with the identity, times the word's product of kron
 # annihilation blocks.  An element is the sum of such operators.  The
 # creation, annihilation, field and identity references are the kron blocks
-# alone.  None of them shares code with the stacked-annihilation maker, so
-# they check that maker independently.
+# alone.  None of them shares code with the stacked-annihilation action, so
+# they check that action independently; each acts by its dense blocks.
 
 ASSEMBLY_Q = (-1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
 
@@ -328,20 +329,25 @@ def _kron_annihilation_block(f, q, k):
     return out
 
 
+def acting_by(blocks):
+    """The action of dense blocks, ``blocks(k) = {k_out: block}``, on a column batch."""
+    return lambda k, X: {ko: B @ X for ko, B in blocks(k).items()}
+
+
 def reference_creation(f, cutoff):
     return TruncatedOperator(len(f), cutoff, {k: (k + 1,) for k in range(cutoff)},
-                             lambda k: {k + 1: _kron_creation_block(f, k)})
+                             acting_by(lambda k: {k + 1: _kron_creation_block(f, k)}))
 
 
 def reference_annihilation(f, q, cutoff):
     out_map = {0: (), **{k: (k - 1,) for k in range(1, cutoff + 1)}}
-    return TruncatedOperator(len(f), cutoff, out_map,
-                             lambda k: {k - 1: _kron_annihilation_block(f, q, k)} if k else {})
+    return TruncatedOperator(len(f), cutoff, out_map, acting_by(
+        lambda k: {k - 1: _kron_annihilation_block(f, q, k)} if k else {}))
 
 
 def reference_identity(d, cutoff, scalar):
     return TruncatedOperator(d, cutoff, {k: (k,) for k in range(cutoff + 1)},
-                             lambda k: {k: scalar * np.eye(d ** k)})
+                             acting_by(lambda k: {k: scalar * np.eye(d ** k)}))
 
 
 def _reference_word_matrix(d, q, m, word):
@@ -368,7 +374,7 @@ def reference_wick_block(k, ell, F, q, cutoff):
             blk += np.kron(c_col, np.eye(d ** rest)) @ _reference_word_matrix(d, q, m, word)
         return {k + rest: blk}
 
-    return TruncatedOperator(d, cutoff, out_map, maker)
+    return TruncatedOperator(d, cutoff, out_map, acting_by(maker))
 
 
 def reference_sum(d, cutoff, ops):
@@ -384,7 +390,7 @@ def reference_sum(d, cutoff, ops):
                 out[k_out] = out.get(k_out, 0.0) + blk
         return out
 
-    return TruncatedOperator(d, cutoff, out_map, maker)
+    return TruncatedOperator(d, cutoff, out_map, acting_by(maker))
 
 
 def reference_to_operator(A, q, cutoff):
@@ -393,15 +399,18 @@ def reference_to_operator(A, q, cutoff):
                                        for ell in range(n + 1)])
 
 
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
 def _assert_same_operator(op, ref):
     assert list(op.out_map.items()) == list(ref.out_map.items())
     for m in ref.out_map:
         got, want = op.block(m), ref.block(m)
         assert list(got) == list(want)
         for k_out, blk in want.items():
-            assert got[k_out].shape == blk.shape
-            assert np.max(np.abs(got[k_out] - blk), initial=0.0) <= \
-                1e-14 * np.max(np.abs(blk), initial=0.0)
+            _assert_close(got[k_out], blk)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -502,7 +511,7 @@ def test_zero_operator_stacks_onto_sector_zero(rng):
 def test_operator_norm_exact_on_close_singular_values():
     # two singular values 1e-4 apart: a stopping rule on the change of a
     # power-iteration estimate stops early and under-reads the norm
-    op = TruncatedOperator(2, 1, {1: (1,)}, lambda k: {1: np.diag([1.0, 0.9999])})
+    op = TruncatedOperator(2, 1, {1: (1,)}, acting_by(lambda k: {1: np.diag([1.0, 0.9999])}))
     assert operator_norm(op, [1]) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -549,10 +558,28 @@ def test_fq_norm_matches_eigh_conjugation(q, rng):
 
 
 def test_fq_norm_refuses_a_metric_without_cholesky_factor(monkeypatch):
-    # a P_q that is not positive definite has no Cholesky factor
+    # a P_q that is not positive definite has no Cholesky factor; the cached
+    # factors of the real P_q are dropped so that the patched one is read
+    qfock.fock._pq_cholesky.cache_clear()
     monkeypatch.setattr(qfock.fock, "pq_matrix", lambda d, k, q: -np.eye(d ** k))
     with pytest.raises(ValueError, match="not positive definite"):
         operator_norm(wick_operator(2, {0: 1.0}, 0.0, 2), [0, 1], metric="fq", q=0.5)
+
+
+def test_fq_factors_are_cached_read_only(rng):
+    cache = qfock.fock._pq_cholesky
+    assert cache.cache_info().maxsize == qfock.fock.PQ_CHOLESKY_CACHE_SIZE
+    op = to_operator(random_element(rng, 2, 2), 0.5, 5)
+    sectors = sorted(op.exact_sectors)
+    first = operator_norm(op, sectors, metric="fq", q=0.5)
+    misses = cache.cache_info().misses
+    assert operator_norm(op, sectors, metric="fq", q=0.5) == first
+    assert cache.cache_info().misses == misses
+    L = cache(2, 3, 0.5)
+    assert not L.flags.writeable
+    with pytest.raises(ValueError):
+        L[0, 0] = 0.0
+    assert np.array_equal(L, np.linalg.cholesky(pq_matrix(2, 3, 0.5)))
 
 
 def test_free_field_norm_approaches_two():
@@ -589,6 +616,96 @@ def test_composition_tracks_exactness(rng):
     assert sorted(two_up.exact_sectors) == [0, 1, 2]
     with pytest.raises(TruncationError):
         two_up.block(3)
+
+
+# -- operators act on column batches ----------------------------------------------------
+
+ACTION_CUTOFF = {1: 12, 2: 7, 3: 5}
+
+
+def _factors(rng, d, q, cutoff):
+    """One operator of each kind the matrix route builds, over d dimensions."""
+    f = rng.standard_normal(d)
+    return [*(to_operator(random_element(rng, d, chaos), q, cutoff) for chaos in range(4)),
+            field_operator(f, q, cutoff), creation(f, cutoff), annihilation(f, q, cutoff)]
+
+
+def _dense_chain(ops, sectors):
+    """The product of the operators' restricted matrices (the last acts first), and
+    its output sectors; a chain that reaches no sector is one zero row, sector 0."""
+    mat = np.eye(sum(ops[0].d ** k for k in sectors))
+    for op in reversed(ops):
+        outs = sorted({k_out for k in sectors for k_out in op.out_map[k]})
+        if not outs:
+            return np.zeros((1, mat.shape[1])), [0]
+        mat, sectors = op.restricted_matrix(sectors, outs) @ mat, outs
+    return mat, sectors
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composed_chains_match_dense_products(d, rng):
+    cutoff = ACTION_CUTOFF[d]
+    for q in ASSEMBLY_Q:
+        factors = _factors(rng, d, q, cutoff)
+        chains = [[factors[i] for i in rng.choice(len(factors), size, replace=False)]
+                  for size in (2, 2, 3, 3, 3)]
+        for chain in chains:
+            groupings = [chain[0].compose(chain[1])] if len(chain) == 2 else [
+                chain[0].compose(chain[1]).compose(chain[2]),
+                chain[0].compose(chain[1].compose(chain[2]))]
+            for composed in groupings:
+                assert composed.out_map == groupings[0].out_map
+                sectors = sorted(composed.exact_sectors)
+                if not sectors:
+                    continue
+                want, outs = _dense_chain(chain, sectors)
+                assert composed.out_sectors(sectors) == outs
+                _assert_close(composed.restricted_matrix(sectors, outs), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_action_is_the_block_times_the_batch(d, rng):
+    cutoff = ACTION_CUTOFF[d]
+    for q in (-0.9, 0.5, 1.0):
+        factors = _factors(rng, d, q, cutoff)
+        for op in factors + [factors[3].compose(factors[4]), factors[6].compose(factors[2])]:
+            for k in sorted(op.exact_sectors):
+                X = rng.standard_normal((d ** k, 5))
+                acted, blocks = op.act(k, X), op.block(k)
+                assert list(acted) == list(blocks)
+                for k_out, blk in blocks.items():
+                    _assert_close(acted[k_out], blk @ X)
+                vec = FockVector(d, {k: X[:, 0].reshape((d,) * k)})
+                out = op.apply(vec)
+                for k_out, blk in blocks.items():
+                    _assert_close(out.sector(k_out).reshape(-1), blk @ X[:, 0])
+
+
+def test_action_outside_exact_range_refuses(rng):
+    d, N = 2, 4
+    f = rng.standard_normal(d)
+    for op in (creation(f, N), to_operator(random_element(rng, d, 3), 0.5, N),
+               creation(f, N).compose(field_operator(f, 0.5, N))):
+        bad = min(set(range(N + 2)) - op.exact_sectors)
+        with pytest.raises(TruncationError):
+            op.act(bad, np.ones((d ** bad, 2)))
+
+
+def test_composition_builds_no_block_of_its_factors(rng):
+    # the d3c3 oracle shape at cutoff 8: building the outer factor's dense
+    # sector-5 block alone takes 6561 × 243 entries (12.8 MB)
+    d, cutoff, q = 3, 8, 0.5
+    op_a, op_b = (to_operator(random_element(rng, d, 3), q, cutoff) for _ in range(2))
+    tracemalloc.start()
+    try:
+        composed = op_a.compose(op_b)
+        blocks = {k: composed.block(k) for k in sorted(composed.exact_sectors)}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(blocks) == [0, 1, 2] and blocks[2][8].shape == (d ** 8, d ** 2)
+    assert peak < 4 * 2 ** 20
+    assert op_a._cache == {} and op_b._cache == {}
 
 
 # -- serialization ------------------------------------------------------------------------
