@@ -13,14 +13,15 @@ to the identity batch, built only when asked for and cached, since a block
 from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries; a composition
 chains the two maps and builds no block of either factor.  Every operator is
 a Wick assembly or a composition of them: all Wick terms of an element act
-in one pass of a stacked annihilation per sector, and creation, annihilation,
-the field and ``c·Id`` are Wick operators of chaos 0 or 1.  Sums and
-multiples are taken on ``restricted_matrix`` arrays.
+in one pass of a stacked annihilation per sector, each through its
+shuffle-weighted hat, which one pass over the term's axes builds with work
+polynomial in the degree; creation, annihilation, the field and ``c·Id`` are
+Wick operators of chaos 0 or 1.  Sums and multiples are taken on
+``restricted_matrix`` arrays.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from scipy.linalg import block_diag, solve_triangular
 
 
 MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor built or parsed
+MAX_TENSOR_DEGREE = 64  # numpy arrays have at most 64 axes
 
 
 class TruncationError(ValueError):
@@ -37,8 +39,11 @@ class TruncationError(ValueError):
 
 def refuse_large_tensor(d: int, degree: int) -> None:
     """Refuse, before building it, a ``(d,)*degree`` tensor of more than
-    ``MAX_TENSOR_ENTRIES`` entries; ``d**degree`` is not formed for a huge degree."""
-    if (d > 1 and degree >= MAX_TENSOR_ENTRIES.bit_length()) or d ** degree > MAX_TENSOR_ENTRIES:
+    ``MAX_TENSOR_DEGREE`` axes or ``MAX_TENSOR_ENTRIES`` entries."""
+    if degree > MAX_TENSOR_DEGREE:
+        raise ValueError(f"the tensor would have degree {degree}; "
+                         f"numpy arrays have at most {MAX_TENSOR_DEGREE} axes")
+    if d ** degree > MAX_TENSOR_ENTRIES:
         raise ValueError(f"the tensor would have more than {MAX_TENSOR_ENTRIES} entries")
 
 
@@ -131,9 +136,9 @@ class FockTensor:
         d, degree, coeffs = obj.get("d"), obj.get("degree"), obj.get("coeffs")
         if not _is_index(d) or d < 1:
             raise ValueError(f"tensor 'd' must be a positive integer, got {d!r}")
-        if not _is_index(degree) or degree > 64:  # numpy arrays have at most 64 axes
-            raise ValueError(f"tensor 'degree' must be a nonnegative integer up to 64, "
-                             f"got {degree!r}")
+        if not _is_index(degree) or degree > MAX_TENSOR_DEGREE:
+            raise ValueError(f"tensor 'degree' must be a nonnegative integer up to "
+                             f"{MAX_TENSOR_DEGREE}, got {degree!r}")
         if not isinstance(coeffs, list) or not all(isinstance(e, dict) for e in coeffs):
             raise ValueError("tensor 'coeffs' must be a list of objects")
         refuse_large_tensor(d, degree)
@@ -347,16 +352,16 @@ def _shuffle_weighted_tensor(F: np.ndarray, a: int, q: float) -> np.ndarray:
     """Sum of axis-splits of F into ``a`` creation and ``n-a`` annihilation slots.
 
     Each split (S, T) with S the sorted creation axes contributes
-    ``q^{#{(s,t) in S×T : s > t}} · F_{axes reordered to S then T}``.
+    ``q^{#{(s,t) in S×T : s > t}} · F_{axes reordered to S then T}``.  In one pass
+    over the axes, axis i stays or joins the j-1 axes of S in front, past i-j+1 of T.
     """
-    n = F.ndim
-    out = np.zeros_like(F)
-    axes_all = range(n)
-    for S in itertools.combinations(axes_all, a):
-        T = tuple(i for i in axes_all if i not in S)
-        w = sum(1 for s in S for t in T if s > t)
-        out += q ** w * np.transpose(F, axes=S + T)
-    return out
+    acc = [np.array(F)] + [None] * a  # acc[j]: the splits so far with j in S; no hat aliases F
+    for i in range(F.ndim):
+        for j in range(min(i + 1, a), max(0, a - F.ndim + i), -1):  # j can still reach a
+            perm = (*range(j - 1), i, *range(j - 1, i), *range(i + 1, F.ndim))
+            moved = acc[j - 1] if j > i else q ** (i - j + 1) * np.transpose(acc[j - 1], perm)
+            acc[j] = moved if acc[j] is None else acc[j] + moved
+    return acc[a]
 
 
 def _annihilate(T: np.ndarray, d: int, r: int, q: float) -> np.ndarray:
@@ -382,8 +387,9 @@ def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
     input sector m is exact if every term with ``ell <= m`` stays within the
     cutoff.  The action applies ``_annihilate`` to the batch X of sector-m
     columns and, after step ``ell``, adds ``hat @ T_ell`` to sector
-    ``m + k - ell``, with ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor,
-    built once if used.  On ``X = eye(d^m)`` these are the sector's blocks.
+    ``m + k - ell``, with ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor
+    (``_shuffle_weighted_tensor``), built once if used.  On ``X = eye(d^m)``
+    these are the sector's blocks.
     """
     out_map: dict[int, tuple[int, ...]] = {}
     for m in range(cutoff + 1):

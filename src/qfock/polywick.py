@@ -1,11 +1,11 @@
 """Wick products with operator insertions and renormalisation counterterms.
 
 A pattern of LEG and INSERT slots describes a product of noise legs with
-bounded operators placed between them.  The insertion product expands every
-inserted operator over its chaos components, splices those legs into the row,
-and sums over the admissible cross pairings with weight ``q^crb`` evaluated in
-the full spliced row (the legs removed by a prior partial contraction
-still occupy their positions and contribute to the weight).  One
+bounded operators placed between them.  The insertion product takes each
+inserted operator whole, splices the legs of its chaos components into the
+row, and sums over the admissible cross pairings with weight ``q^crb``
+evaluated in the full spliced row (the legs removed by a prior partial
+contraction still occupy their positions and contribute to the weight).  One
 left-to-right pass over the row builds the sum, listing no pairing.
 
 The counterterm calculus at the end assigns to a fully paired leg
@@ -15,7 +15,6 @@ chaos-scaling map Δ.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -102,38 +101,45 @@ def _arrivals(states: dict, c: int, q: float):
 
 
 def restricted_wick(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
-                    Gs, q: float) -> WickElement:
-    """Insertion product of F's legs with one chaos tensor per INSERT slot.
+                    As, q: float) -> WickElement:
+    """Insertion product of F's legs with one operator per INSERT slot.
 
     ``pi`` partially contracts the pattern's legs; ``F`` carries the remaining
-    legs (in slot order) and each ``Gs[j]`` the legs spliced in at insert slot
-    j.  Sums over pairings that join remaining legs to inserted legs or legs
-    of distinct inserts, weighting each by ``q^crb`` of the union with ``pi``
-    over the full row.
+    legs (in slot order) and each chaos component of ``As[j]`` the legs spliced
+    in at insert slot j.  Sums over pairings that join remaining legs to
+    inserted legs or legs of distinct inserts, weighting each by ``q^crb`` of
+    the union with ``pi`` over the full row.
 
     One pass over ``pattern.slots`` builds it.  A state maps the labels of
-    the open positions (0 for F, j for ``Gs[j-1]``, ``-s`` for an arc of
+    the open positions (0 for F, j for ``As[j-1]``, ``-s`` for an arc of
     ``pi`` opened at slot s, with no axis) to a tensor whose axes are the
-    positions not yet reached, then the open ones.  Each position open inside
-    an arc is free at the end (``sp``) or closes beyond it (a crossing), so
-    the arc weighs ``q`` to the number of labels after its first end.
+    positions not yet reached, then the open ones; so the states of an
+    insert's chaos components merge by labels.  Each position open inside an
+    arc is free at the end (``sp``) or closes beyond it (a crossing), so the
+    arc weighs ``q`` to the number of labels after its first end.
     """
-    Gs = list(Gs)
-    if len(Gs) != pattern.n_inserts:
-        raise ValueError(f"expected {pattern.n_inserts} insert tensors, got {len(Gs)}")
+    As = list(As)
+    if len(As) != pattern.n_inserts:
+        raise ValueError(f"expected {pattern.n_inserts} insert operators, got {len(As)}")
+    if any(A.d != F.d for A in As):
+        raise ValueError("dimension mismatch")
     if pi.context != pattern.leg_context():
         raise ValueError("pairing context must be the pattern's legs")
     if F.degree != len(pi.free()):
         raise ValueError(f"tensor degree {F.degree} != {len(pi.free())} remaining legs")
     closes = {t: s for s, t in pi.pairs}
     states = {(): F.data}
-    inserts = iter(enumerate(Gs, 1))
+    inserts = iter(enumerate(As, 1))
     for slot, kind in enumerate(pattern.slots, 1):
         if kind == INSERT:
-            j, G = next(inserts)
-            states = {labels: np.multiply.outer(G.data, X) for labels, X in states.items()}
-            for _ in range(G.degree):
-                states = _merged(_arrivals(states, j, q))
+            j, A = next(inserts)
+            spliced = []
+            for k, G in sorted(A.chaos.items()):
+                sub = {labels: np.multiply.outer(G.data, X) for labels, X in states.items()}
+                for _ in range(k):
+                    sub = _merged(_arrivals(sub, j, q))
+                spliced += sub.items()
+            states = _merged(spliced)
         elif slot in closes:
             arc = -closes[slot]
             states = _merged((labels[:p] + labels[p + 1:], q ** (len(labels) - 1 - p) * X)
@@ -150,21 +156,15 @@ def delta_R(pattern: InsertionPattern, pi: Pairing, F: FockTensor,
     """Renormalised multiplication with operator insertions.
 
     ``As`` lists the outer left operator, one operator per INSERT slot, and
-    the outer right operator (so ``len(As) == inserts + 2``).  Each inner
-    operator is expanded over its chaos components, fed through the insertion
-    product, and the outer operators multiply the result on both sides.
+    the outer right operator (so ``len(As) == inserts + 2``).  The inner
+    operators go whole into the insertion product, and the outer operators
+    multiply the result on both sides.
     """
     As = list(As)
     if len(As) != pattern.n_inserts + 2:
         raise ValueError(
             f"expected {pattern.n_inserts + 2} operators (outer pair + inserts), got {len(As)}")
-    d = F.d
-    inner = As[1:-1]
-    core = WickElement.zero(d)
-    supports = [sorted(a.chaos) for a in inner]
-    for combo in itertools.product(*supports):
-        Gs = [inner[j].chaos[k] for j, k in enumerate(combo)]
-        core = core + restricted_wick(pattern, pi, F, Gs, q)
+    core = restricted_wick(pattern, pi, F, As[1:-1], q)
     return multiply(multiply(As[0], core, q), As[-1], q)
 
 

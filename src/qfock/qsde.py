@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from .combinat import Pairing
 from .fock import FockTensor
-from .polywick import InsertionPattern, delta_R
+from .polywick import InsertionPattern, restricted_wick
 from .wickalg import WickElement, delta_q, multiply, triple_norm
 
 LEFT = "L"
@@ -87,13 +87,12 @@ def levy_area_tensor(s: float, t: float, side: str, grid: TimeGrid,
 
 def levy_area(a: WickElement, s: float, t: float, side: str, grid: TimeGrid,
               q: float, diag_weight: float = 0.0) -> WickElement:
-    """Levy area with the operator ``a`` inserted between the two legs."""
+    """Levy area with the operator ``a`` inserted whole between the two legs."""
     if a.d != grid.cells:
         raise ValueError(f"the inserted element has d = {a.d}; the grid has {grid.cells} cells")
     F = levy_area_tensor(s, t, side, grid, diag_weight)
-    ones = WickElement.one(grid.cells)
     pi = Pairing.empty(_LEG_INSERT_LEG.leg_context())
-    return delta_R(_LEG_INSERT_LEG, pi, F, [ones, a, ones], q)
+    return restricted_wick(_LEG_INSERT_LEG, pi, F, [a], q)
 
 
 def chen_residual(s: float, u: float, t: float, a: WickElement, side: str,

@@ -541,6 +541,28 @@ def test_verify_sizes_are_refused_before_building(argv, capsys):
     _refused_under_small_peak(capsys, ["verify", *argv], MAX_TENSOR_ENTRIES)
 
 
+def test_degrees_past_numpy_axes_are_refused_at_d1(tmp_path, capsys):
+    # at d = 1 every tensor has one entry, so only the degree can be too large:
+    # numpy arrays have at most 64 axes, and the refusal names the degree
+    _refused_under_small_peak(capsys, ["verify", "--suite", "wick-oracle", "--d", "1",
+                                       "--chaos", "40"], "degree 80")
+    _refused_under_small_peak(capsys, ["verify", "--suite", "norm-submult", "--d", "1",
+                                       "--chaos", "33"], "degree 66")
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": _zero_element(1, 33), "b": _zero_element(1, 33)}))
+    _refused_under_small_peak(capsys, ["multiply", "--q", "0.5", "--input", str(path)],
+                              "degree 66")
+
+
+def test_largest_admitted_degree_at_d1(monkeypatch, tmp_path, capsys):
+    # two chaos-32 operands make a degree-64 product, which passes the guard;
+    # the product is stubbed out
+    monkeypatch.setattr(wickalg, "multiply", lambda *_: WickElement.one(1))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": _zero_element(1, 32), "b": _zero_element(1, 32)}))
+    assert _capture(capsys, ["multiply", "--q", "0.5", "--input", str(path)])[0] == 0
+
+
 class _SuiteStarted(Exception):
     """Raised by a stubbed random generator: the suite got past its size guard."""
 
@@ -554,6 +576,8 @@ class _SuiteStarted(Exception):
     ["--suite", "opbounds", "--d", "3"],  # 3^13
     ["--suite", "disentangle", "--chaos", "5"],  # 2^23
     ["--suite", "disentangle", "--d", "4"],  # 4^11
+    ["--suite", "wick-oracle", "--d", "1", "--chaos", "32"],  # degree 64
+    ["--suite", "norm-submult", "--d", "1", "--chaos", "32"],  # degree 64
 ])
 def test_largest_admitted_verify_sizes(argv, monkeypatch):
     # each suite is stubbed at its first step after the guard, drawing its generator
@@ -694,6 +718,11 @@ def test_levy_and_delta_r_commands(tmp_path, capsys):
     assert 3 in out.support()
 
 
+# F and the outer operators at d = 2, the insert at d = 3
+_D3_INSERT = {"operators": [_delta_r_doc()["operators"][0], _zero_element(3, 1),
+                            _delta_r_doc()["operators"][2]]}
+
+
 @pytest.mark.parametrize("changes", [
     {"pattern": [1]},
     {"pattern": {"slots": 5}},
@@ -708,6 +737,7 @@ def test_levy_and_delta_r_commands(tmp_path, capsys):
     {"pi": [[-1, 3]]},
     {"operators": {"0": {}}},
     {"operators": 3},
+    _D3_INSERT,
 ])
 def test_delta_r_bad_input_is_structured_error(changes, tmp_path, capsys):
     path = tmp_path / "dr.json"
@@ -717,6 +747,8 @@ def test_delta_r_bad_input_is_structured_error(changes, tmp_path, capsys):
     assert doc["status"] == "error"
     assert set(doc["outputs"]) == {"code", "message"}
     assert doc["outputs"]["code"] == "ValueError"
+    if changes is _D3_INSERT:
+        assert doc["outputs"]["message"] == "dimension mismatch"
 
 
 @pytest.mark.parametrize("command,doc,key", [

@@ -9,7 +9,7 @@ from qfock.combinat import (CosetRep, IndexSet, Pairing, contraction_stats, cose
                             pairing_table)
 from qfock.fock import FockTensor
 from qfock.polywick import INSERT, LEG, InsertionPattern, counterterm_monomial, restricted_wick
-from qfock.wickalg import norm_constants
+from qfock.wickalg import WickElement, norm_constants
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -145,7 +145,8 @@ def _check_restricted_layout(classes, rng, contract, dims=(1, 2, 3)):
         Gs = [FockTensor(d, rng.standard_normal((d,) * k)) for k in degrees]
         for q in (0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
             ref = restricted_wick_by_pairings(pattern, pi, F, Gs, q)
-            gap = (restricted_wick(pattern, pi, F, Gs, q) - ref).max_abs_coeff()
+            As = [WickElement.from_tensor(G) for G in Gs]
+            gap = (restricted_wick(pattern, pi, F, As, q) - ref).max_abs_coeff()
             assert gap <= 1e-14 * ref.max_abs_coeff(), (classes, pi.pairs, d, q)
 
 

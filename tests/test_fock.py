@@ -11,7 +11,7 @@ import qfock.fock
 import qfock.polywick
 import qfock.verify
 import qfock.wickalg
-from conftest import Q_GRID, inverse_perm, random_element, random_tensor
+from conftest import Q_GRID, inverse_perm, random_element, random_tensor, time_limit
 from qfock.combinat import coset_reps
 from qfock.fock import (FockTensor, FockVector, TruncatedOperator, TruncationError,
                         annihilation, creation, field_operator, operator_norm,
@@ -229,6 +229,40 @@ def test_annihilation_word_expansion(rng):
 # -- Wick blocks ---------------------------------------------------------------------
 
 
+def reference_hat(F, a, q):
+    """The hat as a sum over subsets: the split (S, T), S the sorted ``a``
+    creation axes, adds ``q^{#{(s,t) in S×T : s > t}}`` times F with its axes
+    reordered to S then T."""
+    n = F.ndim
+    out = np.zeros_like(F)
+    for S in itertools.combinations(range(n), a):
+        T = tuple(i for i in range(n) if i not in S)
+        w = sum(1 for s in S for t in T if s > t)
+        out += q ** w * np.transpose(F, axes=S + T)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hat_matches_the_subset_sum(d, rng):
+    for n in range(7):
+        F = rng.standard_normal((d,) * n)
+        for a in range(n + 1):
+            for q in (0.0, 0.5, -0.7, 1.0, -1.0):
+                want = reference_hat(F, a, q)
+                got = _shuffle_weighted_tensor(F, a, q)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_high_chaos_operator_at_d1_is_fast(rng):
+    # the hats of a chaos-24 element: 2^24 transposes for the subset sum, about
+    # 2,300 for the one pass over the axes
+    A = qfock.wickalg.WickElement.from_tensor(random_tensor(rng, 1, 24))
+    with time_limit(5):
+        op = to_operator(A, 0.5, 48)
+        assert operator_norm(op, sorted(op.exact_sectors)) > 0.0
+
+
 def test_wick_block_degree_one_cases(rng):
     d, N, q = 2, 4, 0.6
     f = rng.standard_normal(d)
@@ -260,7 +294,7 @@ def test_wick_block_q_to_free_reduction(rng):
         for k, ell in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 2), (3, 0), (0, 3)]:
             F = random_tensor(rng, d, k + ell)
             Wq = wick_block_matrix(k, ell, F, q, N)
-            H = _shuffle_weighted_tensor(F.data, k, q)
+            H = reference_hat(F.data, k, q)
             H = _apply_partial_pq(H, list(range(k, k + ell)), q)
             W0 = wick_block_matrix(k, ell, FockTensor(d, H), 0.0, N)
             for m in range(ell, 5):
@@ -360,7 +394,7 @@ def _reference_word_matrix(d, q, m, word):
 
 def reference_wick_block(k, ell, F, q, cutoff):
     d = F.d
-    hat = _shuffle_weighted_tensor(F.data, k, q)
+    hat = reference_hat(F.data, k, q)
     out_map = {m: (() if m < ell else (m - ell + k,))
                for m in range(cutoff + 1) if m < ell or m - ell + k <= cutoff}
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_tensor, time_limit
+from pairing_reference import restricted_wick_by_pairings
 from qfock.combinat import Pairing, contraction_stats, enumerate_pairings, pairing_table
 from qfock.fock import FockTensor, field_operator
 from qfock.polywick import (INSERT, LEG, DeltaPolynomial, InsertionPattern,
@@ -74,7 +76,7 @@ def test_restricted_wick_scalar_inserts_weight(rng):
     for pairs, expected_crb in [(((1, 5),), 1), (((1, 3),), 0), (((3, 5),), 0)]:
         pi = Pairing(pairs, ctx)
         out = restricted_wick(pat, pi, FockTensor.from_vectors([f]),
-                              [FockTensor.scalar(d, 1.0)] * 2, q)
+                              [WickElement.one(d)] * 2, q)
         assert out.support() == (1,)
         assert np.allclose(out.coeff(1).data, q ** expected_crb * f)
 
@@ -84,7 +86,28 @@ def test_restricted_wick_degree_mismatch(rng):
     F = FockTensor(2, rng.standard_normal((2, 2)))
     pi = Pairing(((1, 3),), pat.leg_context())
     with pytest.raises(ValueError, match="remaining legs"):
-        restricted_wick(pat, pi, F, [FockTensor.scalar(2, 1.0)], 0.5)
+        restricted_wick(pat, pi, F, [WickElement.one(2)], 0.5)
+
+
+@pytest.mark.parametrize("text, supports", [
+    ("LIL", [(0, 1, 2, 3)]),
+    ("LILIL", [(0, 1, 2, 3), (0, 2)]),
+    ("LILIL", [(1, 3), ()]),  # an empty insert: the product is zero
+    ("LILILIL", [(0, 1, 2), (0, 1), (0, 2)]),
+])
+def test_restricted_wick_takes_inserts_whole(text, supports, rng):
+    # a multi-chaos insert goes in whole: the per-pairing reference summed over
+    # one chaos component per insert
+    pat = InsertionPattern.from_string(text)
+    for pi, d in itertools.product(enumerate_pairings(pat.leg_context()), (1, 2)):
+        F = random_tensor(rng, d, len(pi.free()))
+        As = [WickElement(d, {k: random_tensor(rng, d, k) for k in ks}) for ks in supports]
+        for q in (0.0, 0.5, -0.5, 1.0, -1.0):
+            want = WickElement.zero(d)
+            for Gs in itertools.product(*(A.chaos.values() for A in As)):
+                want = want + restricted_wick_by_pairings(pat, pi, F, Gs, q)
+            gap = (restricted_wick(pat, pi, F, As, q) - want).max_abs_coeff()
+            assert gap <= 1e-14 * want.max_abs_coeff(), (text, pi.pairs, d, q)
 
 
 def test_restricted_wick_vs_subtracted_product(rng):
@@ -315,7 +338,8 @@ def test_insertion_product_norm_bound(q, rng):
         F = FockTensor(d, rng.standard_normal((d, d, d)))
         degs = rng.integers(0, 3, size=2)
         Gs = [FockTensor(d, rng.standard_normal((d,) * int(k))) for k in degs]
-        out = restricted_wick(pat, Pairing.empty(ctx), F, Gs, q)
+        out = restricted_wick(pat, Pairing.empty(ctx), F,
+                              [WickElement.from_tensor(G) for G in Gs], q)
         lhs = triple_norm(out, q)
         legs = len(ctx)
         blocks = [1, int(degs[0]), 1, int(degs[1]), 1]

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import Q_GRID, random_element
 from qfock import qsde
+from qfock.combinat import Pairing
+from qfock.polywick import InsertionPattern, delta_R
 from qfock.qsde import (LEFT, RIGHT, TimeGrid, bphz_constant, chen_residual,
                         ito_residual, ito_step, levy_area, levy_area_tensor,
                         qbm, quartic_bump, triangle_bump)
@@ -114,6 +116,22 @@ def test_levy_area_wick_ordered_has_no_scalar_part(rng):
         assert vacuum_expectation(el) == 0.0
         assert np.allclose(el.coeff(2).data,
                            levy_area_tensor(0.0, 1.0, LEFT, grid, w).data)
+
+
+def test_levy_area_is_delta_r_between_units(rng):
+    # the insertion product alone, bit for bit what delta_R gives with unit
+    # outer operators
+    grid = TimeGrid(1.0, 8)
+    one = WickElement.one(8)
+    lil = InsertionPattern.from_string("LIL")
+    for chaos, side, q, w in [(0, LEFT, 0.5, 0.0), (2, RIGHT, -0.7, 0.5), (3, LEFT, 0.9, 0.5)]:
+        a = random_element(rng, 8, chaos)
+        F = levy_area_tensor(0.25, 0.875, side, grid, w)
+        want = delta_R(lil, Pairing.empty(lil.leg_context()), F, [one, a, one], q)
+        got = levy_area(a, 0.25, 0.875, side, grid, q, w)
+        assert sorted(got.chaos) == sorted(want.chaos)
+        for k, G in want.chaos.items():
+            assert got.chaos[k].data.tobytes() == G.data.tobytes()
 
 
 def test_levy_area_insertion_path(rng):

@@ -602,6 +602,6 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
     multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
     pattern = InsertionPattern.from_string("LILIL")
     restricted_wick(pattern, Pairing.empty(pattern.leg_context()), random_tensor(rng, 2, 3),
-                    [random_tensor(rng, 2, 2), random_tensor(rng, 2, 1)], 0.5)
+                    [WickElement.from_tensor(random_tensor(rng, 2, k)) for k in (2, 1)], 0.5)
     expand_field_product([rng.standard_normal(2) for _ in range(5)], 0.5)
     assert pairing_table.cache_info() == after
