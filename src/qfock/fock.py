@@ -188,34 +188,37 @@ class FockVector:
 # ---------------------------------------------------------------------------
 
 
-def _pq_tail(X: np.ndarray, k: int, q: float) -> np.ndarray:
-    """q-symmetrize the last k axes of X.
+def _pq_tail(X: np.ndarray, d: int, k: int, q: float) -> np.ndarray:
+    """q-symmetrize each row of the ``(batch, d^k)`` array X, a degree-k tensor.
 
     Uses the coset recursion: with the last j-1 axes symmetrized, the last j
     are symmetrized by adding the ``q^i``-weighted moves of axis ``-j`` to
     ``i`` places further back.  Cost is polynomial in the degree rather than
-    factorial.
+    factorial.  Uses 5-axis views only, so no degree meets numpy's limit on
+    the number of axes.
     """
-    out = np.asarray(X, dtype=float).copy()
+    out = np.array(X, dtype=float)
+    b = out.shape[0]
     for j in range(2, k + 1):
-        first = out.ndim - j
         acc = out.copy()
         for i in range(1, j):
-            acc += q ** i * np.moveaxis(out, first, first + i)
+            moved = out.reshape(b, d ** (k - j), d, d ** i, d ** (j - 1 - i))
+            acc.reshape(b, d ** (k - j), d ** i, d, d ** (j - 1 - i))[...] += (
+                q ** i * moved.transpose(0, 1, 3, 2, 4))
         out = acc
     return out
 
 
 def pq_apply(tensor: np.ndarray, q: float) -> np.ndarray:
     """Apply the q-symmetrizer ``Σ_σ q^{inv(σ)} U_σ`` to a degree-n tensor."""
-    return _pq_tail(tensor, np.ndim(tensor), q)
+    T = np.asarray(tensor, dtype=float)
+    d = T.shape[0] if T.ndim else 1
+    return _pq_tail(T.reshape(1, -1), d, T.ndim, q).reshape(T.shape)
 
 
 def pq_matrix(d: int, n: int, q: float) -> np.ndarray:
     """The q-symmetrizer on ``H^{⊗n}`` as a dense ``d^n × d^n`` matrix."""
-    dim = d ** n
-    batch = np.eye(dim).reshape((dim,) + (d,) * n)
-    return _pq_tail(batch, n, q).reshape(dim, dim).T
+    return _pq_tail(np.eye(d ** n), d, n, q).T
 
 
 PQ_CHOLESKY_CACHE_SIZE = 64  # factors kept: a grid of up to 7 values of q at cutoff <= 8

@@ -6,9 +6,11 @@ all identities (Chen, the one-step Ito residual) hold exactly in the symbolic
 algebra, up to floating-point summation.
 
 The Ito step involves only B_t and its increment, of disjoint supports, so it
-runs at dimension <= 2 in their orthonormal basis U: Γ(U) commutes with the Wick
-product and keeps chaos norms (Bożejko–Kümmerer–Speicher 1997).  Lévy areas and
-Chen residuals stay dense, since the ordered-square kernel has full rank.
+runs at dimension 2 in their orthonormal basis U: Γ(U) commutes with the Wick
+product and keeps chaos norms (Bożejko–Kümmerer–Speicher 1997).  There B = √t·e₁
+on every grid and the increment is √dt·e₂, so the residual is Σ_{j>=2} dt^{j/2}·W_j
+with words W_j that no grid changes, built once per call.  Lévy areas and Chen
+residuals stay dense, since the ordered-square kernel has full rank.
 """
 from __future__ import annotations
 
@@ -169,13 +171,6 @@ def bphz_constant(mollifier, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _powers(base: WickElement, n: int, q: float) -> list[WickElement]:
-    pows = [WickElement.one(base.d)]
-    for _ in range(n):
-        pows.append(multiply(pows[-1], base, q))
-    return pows
-
-
 def _map_legs(A: WickElement, M: np.ndarray) -> WickElement:
     """Apply the ``d_in × d_out`` matrix ``M`` to every leg of every chaos of ``A``."""
     chaos = {}
@@ -187,34 +182,36 @@ def _map_legs(A: WickElement, M: np.ndarray) -> WickElement:
     return WickElement(M.shape[1], chaos)
 
 
-def _ito_terms(p: int, B: WickElement, D: WickElement, q: float):
-    """The one-step residual and the unordered prediction, at the dimension of B and D."""
-    X = B + D
-    powX = _powers(X, p, q)
-    powB = _powers(B, p, q)
-    residual = powX[p] - powB[p]
-    for ell in range(p):
-        residual = residual - multiply(multiply(powB[ell], D, q), powB[p - 1 - ell], q)
-    residual = residual.trim()
+def _ito_words(p: int, t: float, q: float):
+    """The words ``W_0 … W_p`` of ``(B + E)^p`` by their number of letters E, and the prediction.
 
-    pred_unordered = WickElement.zero(B.d)
-    for r in range(1, p + 1):
-        for s in range(r + 1, p + 1):
-            mid = delta_q(powB[s - r - 1], q)
-            pred_unordered = pred_unordered + multiply(
-                multiply(powB[r - 1], mid, q), powB[p - s], q)
-    return residual, pred_unordered
-
-
-def _compressed_ito_terms(p: int, t: float, grid: TimeGrid, q: float):
-    """``_ito_terms`` in the orthonormal basis ``U`` of span{B, D} (no B at t = 0), and ``U``."""
+    At d = 2, with the path ``B = √t·e₁`` and the unit ``E = e₂``, ``W_j`` sums
+    the words with j letters E, by ``W_j ← W_j·B + W_{j-1}·E`` once per letter.
+    The increment is ``D = √dt·E``, so on a grid of step dt the one-step
+    residual is ``Σ_{j>=2} dt^{j/2}·W_j``.  The unordered prediction
+    ``Σ_{r<s} B^{r-1} Δ_q(B^{s-r-1}) B^{p-s}`` is built apart, from the powers
+    of B, the ``W_0`` of each step.
+    """
     if p not in (2, 3, 4):
         raise ValueError("polynomial degree must be 2, 3, or 4")
-    B = qbm(0.0, t, grid, q)
-    D = qbm(t, t + grid.dt, grid, q)
-    U = np.stack([v / np.linalg.norm(v) for v in (B.coeff(1).data, D.coeff(1).data)
-                  if v.any()], axis=1)
-    return (*_ito_terms(p, _map_legs(B, U), _map_legs(D, U), q), U)
+    B, E = WickElement.from_vector([np.sqrt(t), 0.0]), WickElement.from_vector([0.0, 1.0])
+    W, powB = [WickElement.one(2)], []
+    for n in range(1, p + 1):
+        powB.append(W[0])
+        W = ([multiply(W[0], B, q)]
+             + [multiply(W[j], B, q) + multiply(W[j - 1], E, q) for j in range(1, n)]
+             + [multiply(W[-1], E, q)])
+    pred = WickElement.zero(2)
+    for r in range(1, p + 1):
+        for s in range(r + 1, p + 1):
+            left = multiply(powB[r - 1], delta_q(powB[s - r - 1], q), q)
+            pred = pred + multiply(left, powB[p - s], q)
+    return W, pred
+
+
+def _residual(W: list[WickElement], dt: float) -> WickElement:
+    """The one-step residual ``Σ_{j>=2} dt^{j/2}·W_j`` on a grid of step dt."""
+    return sum((W[j].scale(dt ** (j / 2)) for j in range(2, len(W))), WickElement.zero(2))
 
 
 def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
@@ -225,10 +222,13 @@ def ito_step(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     (degrees 0..p-2) per unit time is what the renormalisation constant
     predicts via ``2C · B^a Δ_q(B^b) B^c`` summed over second-derivative
     splits, with C = 1/2 and the split pairs counted once ("unordered") or
-    twice ("ordered").  The algebra runs at dimension <= 2, expanded by U^T.
+    twice ("ordered").  The residual ``Σ_{j>=2} dt^{j/2}·W_j`` of ``_ito_words``
+    is expanded by U^T, whose rows are B/|B| (zero at t = 0) and D/|D|.
     """
-    residual, pred, U = _compressed_ito_terms(p, t, grid, q)
-    residual = _map_legs(residual, U.T)
+    B, D = (qbm(a, b, grid, q).coeff(1).data for a, b in ((0.0, t), (t, t + grid.dt)))
+    U = np.stack([v / np.linalg.norm(v) if v.any() else v for v in (B, D)], axis=1)
+    W, pred = _ito_words(p, t, q)
+    residual = _map_legs(_residual(W, grid.dt).trim(), U.T)
     pred_unordered = _map_legs(pred, U.T)
     return {
         "residual": residual,
@@ -245,10 +245,10 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     The sweep has the given grid and the grids of ``cells // m`` cells for
     m in {2, 4, 8}, each at least 2 cells and at most the given number (the
     dyadic coarsenings when 8 divides it); t must be a point of each with
-    t + dt within the horizon.  For each grid the norm
-    ``|||R_low - dt·prediction|||`` of the compressed terms (equal to that at
-    d = cells, U being an isometry) is recorded under the convention that
-    matches, and the log-log slope against dt is fitted.
+    t + dt within the horizon.  The words of ``_ito_words`` are built once;
+    each grid records the norm ``|||R_low - dt·prediction|||`` of the low chaos
+    of ``Σ_{j>=2} dt^{j/2}·W_j`` (that at d = cells, U being an isometry) under
+    the convention that matches, and the log-log slope against dt is fitted.
 
     For p in {2, 3} the low-chaos window contains only the correction term
     plus an O(dt^{3/2}) remainder, so one convention matches cleanly.  For
@@ -267,17 +267,15 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
         if last:
             raise ValueError(f"t + dt = {t + g.dt} passes the horizon {g.horizon} "
                              f"on the {g.cells}-cell grid in the sweep {cells}")
-    norms = {"unordered": [], "ordered": []}
+    W, pu = _ito_words(p, t, q)
+    predictions = {"unordered": pu, "ordered": pu.scale(2.0)}
     dts = [g.dt for g in grids]
-    for g, dt in zip(grids, dts):
-        residual, pu, _ = _compressed_ito_terms(p, t, g, q)
-        low = residual.chaos_part(range(p - 1))
-        predictions = {"unordered": pu, "ordered": pu.scale(2.0)}
-        for name, pred in predictions.items():
-            norms[name].append(triple_norm(low - pred.scale(dt), q))
+    lows = [_residual(W, dt).chaos_part(range(p - 1)) for dt in dts]
+    norms = {name: [triple_norm(low - pred.scale(dt), q) for low, dt in zip(lows, dts)]
+             for name, pred in predictions.items()}
 
     # the convention is read on the finest grid, the last of the sweep
-    mismatches = {name: triple_norm(low.scale(1.0 / dt) - pred, q)
+    mismatches = {name: triple_norm(lows[-1].scale(1.0 / dts[-1]) - pred, q)
                   for name, pred in predictions.items()}
     scale = max(*(triple_norm(pred, q) for pred in predictions.values()), 1.0)
     matched = "neither"

@@ -54,18 +54,22 @@ def suite_commutation(seed=0, q_grid=DEFAULT_Q_GRID, d=3):
 
 def suite_wick_oracle(seed=0, q_grid=DEFAULT_Q_GRID, d=2, chaos=2):
     """multiply() agrees with the composed matrix realisation on exact sectors."""
+    cutoff = max(6, 2 * chaos + 2)  # input sectors 0..2 stay exact
     # the product's top chaos, and the largest array, the stacked matrix from sectors
-    # 0..6 - 2·chaos to 0..6 of (Σ d^k)(Σ d^k) < d^(13 - 2·chaos) entries (d >= 3); the
-    # composition's column batches are smaller.  The looser degree 13 - chaos keeps
-    # the sizes this suite refuses as they were.
+    # 0..cutoff - 2·chaos to 0..cutoff of (Σ d^k)(Σ d^k) < d^(2·cutoff + 2 - 2·chaos)
+    # entries at d >= 2, and a few hundred flat entries at d = 1; the composition's
+    # column batches are smaller.  13 - chaos, looser than needed at chaos <= 2, keeps
+    # the suite's refusals from shrinking.
     fock.refuse_large_tensor(d, max(2 * chaos, 13 - chaos))
+    if d > 1:
+        fock.refuse_large_tensor(d, 2 * cutoff + 2 - 2 * chaos)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for q in q_grid:
         for _ in range(10):
             A = _random_element(rng, d, chaos)
             B = _random_element(rng, d, chaos)
-            worst = _worse(worst, oracle_deviation(A, B, q, 6))
+            worst = _worse(worst, oracle_deviation(A, B, q, cutoff))
     checks = [_check("product-vs-matrix-oracle", worst <= 1e-10, max_deviation=worst)]
     return _summary("wick-oracle", checks)
 

@@ -536,6 +536,7 @@ def test_verify_forwards_chaos_zero(monkeypatch, capsys):
     ["--suite", "opbounds", "--d", "4"],  # 4^13
     ["--suite", "disentangle", "--chaos", "6"],  # the LILIL left side, 2^27
     ["--suite", "disentangle", "--d", "5"],  # 5^11 at chaos 2
+    ["--suite", "wick-oracle", "--chaos", "10"],  # 7·(2^23 - 1) at cutoff 22
 ])
 def test_verify_sizes_are_refused_before_building(argv, capsys):
     _refused_under_small_peak(capsys, ["verify", *argv], MAX_TENSOR_ENTRIES)
@@ -571,13 +572,14 @@ class _SuiteStarted(Exception):
     ["--suite", "commutation", "--d", "5"],  # 5^10
     ["--suite", "wick-oracle", "--d", "4"],  # 4^11
     ["--suite", "wick-oracle", "--d", "3", "--chaos", "0"],  # 3^13
-    ["--suite", "wick-oracle", "--chaos", "12"],  # 2^24
+    ["--suite", "wick-oracle", "--chaos", "9"],  # 7·(2^21 - 1) < 2^24 at cutoff 20
     ["--suite", "norm-submult", "--chaos", "12"],  # 2^24
     ["--suite", "opbounds", "--d", "3"],  # 3^13
     ["--suite", "disentangle", "--chaos", "5"],  # 2^23
     ["--suite", "disentangle", "--d", "4"],  # 4^11
     ["--suite", "wick-oracle", "--d", "1", "--chaos", "32"],  # degree 64
     ["--suite", "norm-submult", "--d", "1", "--chaos", "32"],  # degree 64
+    ["--suite", "wick-oracle", "--d", "4", "--chaos", "3"],  # 4^12 at cutoff 8
 ])
 def test_largest_admitted_verify_sizes(argv, monkeypatch):
     # each suite is stubbed at its first step after the guard, drawing its generator
@@ -587,6 +589,16 @@ def test_largest_admitted_verify_sizes(argv, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", started)
     with pytest.raises(_SuiteStarted):
         run(["verify", *argv])
+
+
+@pytest.mark.parametrize("d,chaos", [(2, 4), (2, 5), (3, 3)])
+def test_wick_oracle_runs_past_chaos_three(d, chaos, capsys):
+    # the cutoff grows with the chaos, max(6, 2·chaos + 2), so sectors 0..2 stay exact
+    code, doc, _ = _capture(capsys, ["verify", "--suite", "wick-oracle", "--d", str(d),
+                                     "--chaos", str(chaos), "--q-grid", "0.5"])
+    assert code == 0, doc["outputs"]
+    (check,) = doc["outputs"]["suites"][0]["checks"]
+    assert check["passed"] and check["max_deviation"] <= 1e-10
 
 
 def test_only_verify_reads_a_seed(monkeypatch, capsys):

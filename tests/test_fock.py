@@ -71,6 +71,23 @@ def test_pq_apply_matches_matrix(rng):
     assert np.allclose(pq_apply(X, q).reshape(-1), pq_matrix(d, n, q) @ X.reshape(-1))
 
 
+@pytest.mark.parametrize("q", [0.5, -0.7, 0.9])
+def test_pq_at_d1_is_the_q_factorial_past_64_axes(q):
+    # at d = 1 the symmetrizer is the scalar [n]_q!; no degree meets numpy's axis limit
+    for n in (63, 64, 70):
+        factorial = np.prod([(1 - q ** k) / (1 - q) for k in range(1, n + 1)])
+        assert pq_matrix(1, n, q) == pytest.approx(np.full((1, 1), factorial), rel=1e-12)
+    # the fq norm of the field on sectors 0..69 is that of its Jacobi matrix, whose
+    # entries sqrt([n]_q) join the orthonormal sectors n - 1 and n
+    jacobi = np.zeros((71, 70))
+    for n in range(1, 71):
+        jacobi[n, n - 1] = np.sqrt((1 - q ** n) / (1 - q))
+        if n < 70:
+            jacobi[n - 1, n] = jacobi[n, n - 1]
+    got = operator_norm(field_operator([1.0], q, 70), range(70), metric="fq", q=q)
+    assert got == pytest.approx(np.linalg.norm(jacobi, 2), rel=1e-12)
+
+
 def _apply_partial_pq(data, axes, q):
     """q-symmetrize the given tensor axes, leaving the others alone."""
     out = np.zeros_like(data)

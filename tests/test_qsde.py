@@ -292,17 +292,37 @@ def test_ito_step_matches_the_dense_algebra(p, q):
             assert triple_norm(got, q) == pytest.approx(triple_norm(want, q), rel=1e-12)
 
 
+def _dense_ito_report(p, t, grid, q):
+    """``ito_residual``'s fields, from ``_dense_ito_step`` on each grid of the sweep."""
+    cells = sorted({min(grid.cells, max(2, grid.cells // m)) for m in (8, 4, 2, 1)})
+    dts = [grid.horizon / m for m in cells]
+    weights = {"unordered": 1.0, "ordered": 2.0}
+    norms = {name: [] for name in weights}
+    for m, dt in zip(cells, dts):
+        residual, pred = _dense_ito_step(p, t, TimeGrid(grid.horizon, m), q)
+        low = residual.chaos_part(range(p - 1))
+        for name, w in weights.items():
+            norms[name].append(triple_norm(low - pred.scale(w * dt), q))
+    # the convention is read on the finest grid, the last of the sweep
+    mismatches = {name: triple_norm(low.scale(1.0 / dt) - pred.scale(w), q)
+                  for name, w in weights.items()}
+    scale = max(triple_norm(pred, q), triple_norm(pred.scale(2.0), q), 1.0)
+    candidates = [name for name in weights if mismatches[name] <= 0.3 * scale + 1e-9]
+    matched = min(candidates, key=mismatches.get) if candidates else "neither"
+    report_norms = norms["unordered" if matched == "neither" else matched]
+    positive = [(dt, r) for dt, r in zip(dts, report_norms) if r > 1e-300]
+    slope = float(np.polyfit(*np.log(positive).T, 1)[0]) if len(positive) >= 2 else 0.0
+    return {"grids": cells, "matched_convention": matched,
+            "residual_norms": report_norms, "fit_slope": slope}
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_ito_residual_matches_a_dense_report(p, q, monkeypatch):
+def test_ito_residual_matches_a_dense_report(p, q):
     # t = 0.25 is off the 2-cell grid that the 16-cell sweep starts from
-    grids = [(TimeGrid(1.0, cells), t)
-             for cells, t in [(16, 0.0), (16, 0.5), (32, 0.0), (32, 0.25), (32, 0.5)]]
-    compressed = [ito_residual(p, t, grid, q) for grid, t in grids]
-    monkeypatch.setattr(qsde, "_compressed_ito_terms",
-                        lambda *args: (*_dense_ito_step(*args), None))
-    for got, (grid, t) in zip(compressed, grids):
-        want = ito_residual(p, t, grid, q)
+    for cells, t in [(16, 0.0), (16, 0.5), (32, 0.0), (32, 0.25), (32, 0.5)]:
+        got = ito_residual(p, t, TimeGrid(1.0, cells), q)
+        want = _dense_ito_report(p, t, TimeGrid(1.0, cells), q)
         assert got["grids"] == want["grids"]
         assert got["matched_convention"] == want["matched_convention"]
         if p == 2:  # the low chaos is dt - dt·1: rounding noise, weighted C^{3/2} in the norm
@@ -311,6 +331,24 @@ def test_ito_residual_matches_a_dense_report(p, q, monkeypatch):
         else:
             assert got["residual_norms"] == pytest.approx(want["residual_norms"], rel=1e-12)
             assert got["fit_slope"] == pytest.approx(want["fit_slope"], abs=1e-9)
+
+
+def test_ito_algebra_runs_once_per_call(monkeypatch):
+    # the grids of a sweep differ only in dt, so four grids cost what one does
+    calls = []
+
+    def counting(A, B, q):
+        calls.append(1)
+        return multiply(A, B, q)
+
+    monkeypatch.setattr(qsde, "multiply", counting)
+    counts = []
+    for cells in (64, 2):  # sweeps of 4 grids and of 1
+        calls.clear()
+        counts.append((len(ito_residual(3, 0.5, TimeGrid(1.0, cells), 0.5)["grids"]), len(calls)))
+    calls.clear()
+    ito_step(3, 0.5, TimeGrid(1.0, 64), 0.5)
+    assert calls and counts == [(4, len(calls)), (1, len(calls))], (counts, len(calls))
 
 
 @pytest.mark.parametrize("p", [3, 4])
