@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 
 MAX_TENSOR_ENTRIES = 1 << 24  # 128 MiB of float64: the largest tensor built or parsed
@@ -485,6 +484,8 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
             raise ValueError("metric='fq' requires q")
         if not -1.0 < q < 1.0:
             raise ValueError("q-metric norm requires |q| < 1")
+        from scipy.linalg import block_diag, solve_triangular  # imported here: only fq reads it
+
         try:
             L_in, L_out = (block_diag(*(_pq_cholesky(op.d, k, q) for k in ks))
                            for ks in (sectors, sectors_out))

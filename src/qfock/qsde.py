@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .combinat import Pairing
 from .fock import FockTensor
@@ -137,7 +136,14 @@ def bphz_constant(mollifier, eps: float) -> float:
     Computes ``∫_0^∞ ∫ ρ_eps(s-z) ρ_eps(z) dz ds`` by nested adaptive
     quadrature.  For any even normalized mollifier the value is 1/2,
     independently of eps; a non-finite result raises ValueError.
+
+    The mollifier is a function of |x| and may have a kink at 0 (the
+    triangle bump does), so the inner quadrature is split where either
+    factor's argument is 0, at z = 0 and z = s: each piece is then smooth,
+    and ``quad`` does not bisect toward the kinks.
     """
+    from scipy.integrate import quad  # imported here: no other function reads it
+
     tol = 1e-9  # absolute error of the outer quadrature; the inner ones get 1e-2 of it
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -155,8 +161,9 @@ def bphz_constant(mollifier, eps: float) -> float:
         lo, hi = max(-eps, s - eps), min(eps, s + eps)
         if lo >= hi:
             return 0.0
+        kinks = [z for z in (0.0, s) if lo < z < hi]
         val, _ = quad(lambda z: scaled(s - z) * scaled(z), lo, hi,
-                      epsabs=tol * 1e-2, limit=200)
+                      epsabs=tol * 1e-2, limit=200, points=kinks or None)
         return val
 
     out, _ = quad(inner, 0.0, 2.0 * eps, epsabs=tol, limit=200,

@@ -1,6 +1,8 @@
 import inspect
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +26,16 @@ def _capture(capsys, argv):
 
 def _strip_elapsed(text):
     return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the two functions that read it, not at start-up
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qfock, qfock.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_pairings_command(capsys):

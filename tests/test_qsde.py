@@ -173,9 +173,24 @@ def test_chen_requires_ordered_times(rng):
 
 
 def test_bphz_constant_values():
-    for eps in (0.1, 0.01):
-        assert abs(bphz_constant(quartic_bump, eps) - 0.5) <= 1e-6
-    assert abs(bphz_constant(triangle_bump, 0.1) - 0.5) <= 1e-6
+    # the function's own budget: absolute error 1e-9
+    for rho in (quartic_bump, triangle_bump):
+        for eps in (0.1, 0.01):
+            assert abs(bphz_constant(rho, eps) - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("rho", [quartic_bump, triangle_bump])
+def test_bphz_constant_splits_at_the_kinks(rho):
+    # split at z = 0 and z = s, the inner quadrature does not bisect toward the kinks
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return rho(x)
+
+    bphz_constant(counted, 0.1)
+    assert calls <= 5000
 
 
 def test_bphz_constant_rejects_bad_mollifiers():
