@@ -13,21 +13,24 @@ Labels are arbitrary naturals, not necessarily ``1..n``, so that sub-pairings
 keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
-One engine, ``pairing_table``, lists the pairings of positions ``0..n-1``
-with their ``cr`` and ``sp``, for the sums taken pairing by pairing
-(``wickalg.moment`` and ``enumerate_pairings``).  The Wick product
-(``wickalg.multiply``) and the insertion product
+One recursion lists the pairings of positions ``0..n-1`` with their ``cr``
+and ``sp``, for the sums taken pairing by pairing.  It is read in two cached
+forms: ``pairing_table``, a tuple table keyed by ``n`` and ``k``, which
+``enumerate_pairings`` lists as ``Pairing`` values over a label set and the
+CLI prints; and ``perfect_pairing_arrays``, read-only arrays of the perfect
+pairings keyed by ``n`` alone, which ``wickalg.moment`` sums over.  Each form
+keeps at most ``TABLE_CACHE_SIZE`` shapes, and neither depends on q or the
+dimension.  The Wick product (``wickalg.multiply``) and the insertion product
 (``polywick.restricted_wick``) factorise their sums and read no table.
-Tables are cached by shape alone (``n`` and ``k``; never q or the
-dimension), for at most ``TABLE_CACHE_SIZE`` shapes.  ``enumerate_pairings``
-lists a table as ``Pairing`` values over a label set.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -35,21 +38,29 @@ from math import comb
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSet:
     """A finite, totally ordered set of natural-number labels.
+
+    ``_index`` maps each label to its position; it is derived from
+    ``elements``, and equality, hashing, repr and pickling ignore it.
 
     >>> IndexSet.range(3).elements
     (1, 2, 3)
     """
 
     elements: tuple[int, ...]
+    _index: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         elems = tuple(int(x) for x in self.elements)
         object.__setattr__(self, "elements", elems)
         if any(b <= a for a, b in zip(elems, elems[1:])):
             raise ValueError("labels must be strictly increasing")
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(elems)})
+
+    def __reduce__(self):
+        return IndexSet, (self.elements,)
 
     @staticmethod
     def range(n: int) -> "IndexSet":
@@ -62,10 +73,10 @@ class IndexSet:
         return iter(self.elements)
 
     def __contains__(self, label: int) -> bool:
-        return label in self.elements
+        return label in self._index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pairing:
     """Disjoint ordered pairs ``(s, t)`` with ``s < t`` inside a context set.
 
@@ -131,15 +142,28 @@ class CosetRep:
 def contraction_stats(pairing: Pairing) -> tuple[int, int, int]:
     """Return ``(cr, sp, crb)`` for a pairing, as the module docstring defines them.
 
+    The labels strictly inside an arc are free, or ends of arcs nested in
+    it or crossing it: a nested arc has both ends inside, and of two
+    crossing arcs each has one end inside the other.  So ``sp`` is the
+    number of labels inside the arcs less twice the nested and the crossing
+    pairs, which one pass over the arcs, sorted by first label, counts.
+
     >>> contraction_stats(Pairing(((1, 4), (2, 5)), IndexSet.range(6)))
     (1, 2, 3)
     """
-    cr = 0
-    for (i, j), (k, l) in itertools.combinations(pairing.pairs, 2):
-        if i < k < j < l or k < i < l < j:
-            cr += 1
-    free = pairing.free()
-    sp = sum(1 for (s, t) in pairing.pairs for x in free if s < x < t)
+    index = pairing.context._index
+    pairs = pairing.pairs
+    inside = cr = nested = 0
+    for i, (s, t) in enumerate(pairs):
+        inside += index[t] - index[s] - 1
+        for a, b in pairs[i + 1:]:
+            if a > t:
+                break
+            if b < t:
+                nested += 1
+            else:
+                cr += 1
+    sp = inside - 2 * (nested + cr)
     return cr, sp, cr + sp
 
 
@@ -169,25 +193,13 @@ def mirror_double(pairing: Pairing) -> Pairing:
 # enumeration
 # ---------------------------------------------------------------------------
 
-#: Number of shapes whose pairing tables ``pairing_table`` keeps.
+#: Number of shapes that ``pairing_table`` and ``perfect_pairing_arrays`` each keep.
 TABLE_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def pairing_table(n: int, k: int | None = None) -> tuple:
-    """The pairings of positions ``0..n-1``, as ``(pairs, cr, sp)``.
-
-    With ``k``, only pairings of exactly ``k`` arcs are listed.  ``pairs`` is
-    sorted by first position and the entries come in lexicographic order of
-    ``pairs``.
-
-    >>> for entry in pairing_table(3):
-    ...     print(entry)
-    ((), 0, 0)
-    (((0, 1),), 0, 0)
-    (((0, 2),), 0, 1)
-    (((1, 2),), 0, 0)
-    """
+def _list_pairings(n: int, k: int | None) -> tuple:
+    """The pairing recursion, uncached: ``pairing_table`` caches its tuples and
+    ``perfect_pairing_arrays`` turns them into arrays."""
     if k is not None and k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     covered = [False] * n
@@ -223,6 +235,48 @@ def pairing_table(n: int, k: int | None = None) -> tuple:
 
     rec(0, 0)
     return tuple(table)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def pairing_table(n: int, k: int | None = None) -> tuple:
+    """The pairings of positions ``0..n-1``, as ``(pairs, cr, sp)``.
+
+    With ``k``, only pairings of exactly ``k`` arcs are listed.  ``pairs`` is
+    sorted by first position and the entries come in lexicographic order of
+    ``pairs``.
+
+    >>> for entry in pairing_table(3):
+    ...     print(entry)
+    ((), 0, 0)
+    (((0, 1),), 0, 0)
+    (((0, 2),), 0, 1)
+    (((1, 2),), 0, 0)
+    """
+    return _list_pairings(n, k)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def perfect_pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The perfect pairings of positions ``0..n-1`` (n even), as arrays ``(cr, S, T)``.
+
+    Row j of ``S`` and of ``T`` holds the first and second positions of the
+    j-th arc of every pairing; the columns come in ``pairing_table(n, n // 2)``
+    order, and ``cr`` holds their crossing numbers.  The arrays are
+    read-only, and no tuple table is kept for them.
+
+    >>> cr, S, T = perfect_pairing_arrays(4)
+    >>> cr.tolist(), S.tolist(), T.tolist()
+    ([0, 1, 0], [[0, 0, 0], [2, 1, 1]], [[1, 2, 3], [3, 3, 2]])
+    """
+    if n % 2:
+        raise ValueError(f"a perfect pairing needs an even n, got {n}")
+    table = _list_pairings(n, n // 2)
+    cr = np.array([c for _, c, _ in table], dtype=np.intp)
+    arcs = np.array([pairs for pairs, _, _ in table], dtype=np.intp).reshape(len(table), n // 2, 2)
+    S, T = np.ascontiguousarray(arcs[:, :, 0].T), np.ascontiguousarray(arcs[:, :, 1].T)
+    for a in (cr, S, T):
+        a.flags.writeable = False
+    return cr, S, T
 
 
 def enumerate_pairings(context: IndexSet, k: int | None = None) -> list[Pairing]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinat import pairing_table
+from .combinat import perfect_pairing_arrays
 from .fock import FockTensor, TruncatedOperator, TruncationError, wick_operator
 
 
@@ -210,7 +210,7 @@ def _left_factor(X: np.ndarray, r: int, q: float) -> np.ndarray:
     if m == 1:
         return X
     axes = list(range(m))
-    # C-ordered, so that tensordot reads it without a copy
+    # C-ordered, so that multiply's reshape to a matrix is a view, not a copy
     out = np.multiply(np.transpose(X, axes[1:] + [0]), q ** (r - 1), order="C")
     for x in range(1, r):
         out += q ** (r - 1 - x) * np.transpose(X, axes[:x] + axes[x + 1:] + [x])
@@ -260,6 +260,7 @@ def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
     if A.d != B.d:
         raise ValueError("dimension mismatch")
     top = max(A.chaos, default=0)
+    d = A.d
     right = {n: _right_factors(G.data, min(n, top), q) for n, G in B.chaos.items()}
 
     def terms():
@@ -271,13 +272,20 @@ def multiply(A: WickElement, B: WickElement, q: float) -> WickElement:
                 for k in range(1, min(m, n) + 1):
                     if k == len(left):
                         left.append(_left_factor(left[-1], m - k + 1, q))
-                    yield np.tensordot(left[k], R[k], k)
+                    L, Rk = left[k], R[k]
+                    # tensordot's own matrix product, without its bookkeeping
+                    yield np.dot(L.reshape(-1, d ** k), Rk.reshape(d ** k, -1)).reshape(
+                        L.shape[:m - k] + Rk.shape[k:])
 
-    return sum_chaos(A.d, terms())
+    return sum_chaos(d, terms())
 
 
 def moment(vectors, q: float) -> float:
-    """Vacuum moment of a product of field operators (q-weighted pair rule)."""
+    """Vacuum moment of a product of field operators (q-weighted pair rule).
+
+    Each pairing's term is ``q ** cr`` times its arcs' inner products, taken
+    arc by arc, and the terms are added one after another from 0.0.
+    """
     fs = [np.asarray(f, dtype=float) for f in vectors]
     n = len(fs)
     if n % 2 == 1:
@@ -285,13 +293,12 @@ def moment(vectors, q: float) -> float:
     if n == 0:
         return 1.0
     gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
-    total = 0.0
-    for pairs, cr, _ in pairing_table(n, n // 2):
-        term = q ** cr
-        for s, t in pairs:
-            term *= gram[s, t]
-        total += term
-    return total
+    cr, S, T = perfect_pairing_arrays(n)
+    term = np.array([q ** c for c in range(int(cr.max()) + 1)], dtype=float)[cr]
+    for s, t in zip(S, T):
+        term *= gram[s, t]
+    # adding 0.0 turns an all -0.0 sum into 0.0, as a sum started at 0.0 does
+    return float(np.cumsum(term)[-1] + 0.0)
 
 
 def vacuum_expectation(A: WickElement) -> float:

@@ -5,12 +5,15 @@ different classes, with fixed arcs that count towards the statistics but are
 never enumerated.  It is the class rule the insertion product obeys, kept here
 as a test oracle: ``restricted_wick_by_pairings`` sums the insertion product
 one contraction per admissible pairing, as the product is defined.
+``contraction_stats_by_pairs`` and ``moment_by_pairings`` keep the direct
+pair-by-pair definitions of ``contraction_stats`` and ``moment`` as oracles.
 """
 import functools
 import itertools
 
 import numpy as np
 
+from qfock.combinat import pairing_table
 from qfock.polywick import LEG
 from qfock.wickalg import sum_chaos
 
@@ -39,6 +42,34 @@ def stats(arcs, n):
              if i < k < j < l or k < i < l < j)
     sp = sum(1 for s, t in arcs for x in range(n) if x not in covered and s < x < t)
     return cr, sp
+
+
+def contraction_stats_by_pairs(pairing):
+    """(cr, sp, cr + sp) by definition: crossing arc pairs, and free labels inside arcs."""
+    cr = sum(1 for (i, j), (k, l) in itertools.combinations(pairing.pairs, 2)
+             if i < k < j < l or k < i < l < j)
+    free = pairing.free()
+    sp = sum(1 for (s, t) in pairing.pairs for x in free if s < x < t)
+    return cr, sp, cr + sp
+
+
+def moment_by_pairings(vectors, q):
+    """The vacuum moment one perfect pairing at a time: ``q ** cr`` times the
+    arcs' inner products, taken arc by arc, added one after another from 0.0."""
+    fs = [np.asarray(f, dtype=float) for f in vectors]
+    n = len(fs)
+    if n % 2 == 1:
+        return 0.0
+    if n == 0:
+        return 1.0
+    gram = np.array([[float(np.dot(a, b)) for b in fs] for a in fs])
+    total = 0.0
+    for pairs, cr, _ in pairing_table(n, n // 2):
+        term = q ** cr
+        for s, t in pairs:
+            term *= gram[s, t]
+        total += term
+    return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 import itertools
+import pickle
 from math import comb, perm
 
+import numpy as np
 import pytest
 
-from pairing_reference import all_pairings, reference_table, restricted_wick_by_pairings, stats
+from pairing_reference import (all_pairings, contraction_stats_by_pairs, reference_table,
+                               restricted_wick_by_pairings, stats)
 from qfock.combinat import (CosetRep, IndexSet, Pairing, contraction_stats, coset_reps,
                             double_factorial_odd, enumerate_pairings, mirror_double,
-                            pairing_table)
+                            pairing_table, perfect_pairing_arrays)
 from qfock.fock import FockTensor
 from qfock.polywick import INSERT, LEG, InsertionPattern, counterterm_monomial, restricted_wick
 from qfock.wickalg import WickElement, norm_constants
@@ -48,12 +51,42 @@ def test_pairing_respects_arbitrary_labels():
 
 def test_pairing_validation():
     ctx = IndexSet.range(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair \(2, 1\) must have s < t"):
         Pairing(((2, 1),), ctx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair \(1, 5\) not inside the context"):
         Pairing(((1, 5),), ctx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairs must be pairwise disjoint"):
         Pairing(((1, 2), (2, 3)), ctx)
+    # the checks run in this order: s < t before the context, the context before disjointness
+    with pytest.raises(ValueError, match="must have s < t"):
+        Pairing(((1, 2), (9, 7)), ctx)
+    with pytest.raises(ValueError, match="not inside the context"):
+        Pairing(((1, 2), (2, 9)), ctx)
+    with pytest.raises(ValueError, match="not inside the context"):
+        Pairing(((1, 3),), IndexSet((1, 2, 4)))
+
+
+def test_labels_become_int():
+    ctx = IndexSet((np.int64(2), 5, np.int64(9)))
+    assert all(type(x) is int for x in ctx.elements)
+    assert np.int64(5) in ctx and 5 in ctx and 4 not in ctx
+    p = Pairing(((np.int64(5), np.int64(9)),), ctx)
+    assert p.pairs == ((5, 9),) and all(type(x) is int for x in p.pairs[0])
+
+
+def test_index_set_identity_ignores_the_index():
+    a, b = IndexSet((2, 5, 9)), IndexSet((np.int64(2), 5, 9))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "IndexSet(elements=(2, 5, 9))"
+    assert a != IndexSet((2, 5)) and a._index == {2: 0, 5: 1, 9: 2}
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and back._index == a._index
+    assert a.__reduce__() == (IndexSet, ((2, 5, 9),))
+    p = Pairing(((2, 9),), a)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert not hasattr(a, "__dict__") and not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        a.elements = (1,)
 
 
 # -- the pairing engine and the restricted product against brute force --------------
@@ -181,6 +214,8 @@ def test_engine_counterterm_layouts():
 def test_engine_rejects_bad_arguments():
     with pytest.raises(ValueError, match="nonnegative"):
         pairing_table(2, -1)
+    with pytest.raises(ValueError, match="even n, got 3"):
+        perfect_pairing_arrays(3)
 
 
 # -- statistics -----------------------------------------------------------------
@@ -194,6 +229,25 @@ def test_intertwining_example():
 def test_stats_trivia():
     assert contraction_stats(Pairing.empty(IndexSet.range(5))) == (0, 0, 0)
     assert contraction_stats(Pairing(((1, 3),), IndexSet.range(3))) == (0, 1, 1)
+
+
+def test_stats_match_the_table_and_the_definition():
+    for n in range(11):
+        ctx = IndexSet.range(n)
+        for k in range(n // 2 + 1):
+            table = pairing_table(n, k)
+            pairings = enumerate_pairings(ctx, k)
+            assert len(pairings) == len(table)
+            for p, (_, cr, sp) in zip(pairings, table):
+                assert contraction_stats(p) == (cr, sp, cr + sp) == contraction_stats_by_pairs(p)
+
+
+def test_stats_on_a_sparse_context():
+    ctx = IndexSet((2, 5, 9, 11, 20, 31))
+    pairings = enumerate_pairings(ctx)
+    assert len(pairings) == len(pairing_table(6))
+    for p, (_, cr, sp) in zip(pairings, pairing_table(6)):
+        assert contraction_stats(p) == (cr, sp, cr + sp) == contraction_stats_by_pairs(p)
 
 
 def test_doubling_identity_exhaustive():

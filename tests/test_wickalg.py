@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import Q_GRID, random_element, random_tensor, time_limit
-from pairing_reference import reference_table
-from qfock.combinat import TABLE_CACHE_SIZE, IndexSet, Pairing, enumerate_pairings, pairing_table
+from pairing_reference import moment_by_pairings, reference_table
+from qfock.combinat import (TABLE_CACHE_SIZE, IndexSet, Pairing, enumerate_pairings,
+                            pairing_table, perfect_pairing_arrays)
 from qfock.fock import (FockTensor, FockVector, TruncationError, field_operator,
                         operator_norm, wick_operator)
 from qfock.polywick import InsertionPattern, restricted_wick
@@ -391,6 +392,28 @@ def test_moment_odd_vanishes(rng):
     assert moment(fs, 0.5) == 0.0
 
 
+def test_moment_is_the_pairing_sum_bit_for_bit(rng):
+    # inputs scaled by 1e150 overflow in their terms and give inf and nan
+    with np.errstate(all="ignore"):
+        for n in range(13):
+            for d in (1, 2, 3):
+                for q in (0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
+                    for scale in (1.0, 1e150):
+                        fs = [scale * rng.standard_normal(d) for _ in range(n)]
+                        value = moment(fs, q)
+                        assert type(value) is float
+                        assert (np.float64(value).tobytes()
+                                == np.float64(moment_by_pairings(fs, q)).tobytes())
+    # a sum of -0.0 terms starts at 0.0
+    assert math.copysign(1.0, moment([np.array([0.0]), np.array([-1.0])], 0.5)) == 1.0
+
+
+def test_moment_crossing_numbers_are_contiguous():
+    # moment takes q ** c for every c up to the largest crossing number
+    for n in range(2, 13, 2):
+        assert set(perfect_pairing_arrays(n)[0].tolist()) == set(range(n // 2 * (n // 2 - 1) // 2 + 1))
+
+
 def test_moment_matches_matrix_vacuum(rng):
     from qfock.fock import field_operator, FockVector
     d, N = 2, 6
@@ -593,11 +616,24 @@ def test_pairing_table_cache_is_bounded_and_keyed_by_shape(rng):
 
     read_tables(2, 0.5)
     misses = pairing_table.cache_info().misses
+    view_misses = perfect_pairing_arrays.cache_info().misses
     # other q and d on the same shapes: no new table
     for d, q in ((1, -0.9), (3, -0.5), (4, 0.0), (6, 0.7)):
         read_tables(d, q)
     after = pairing_table.cache_info()
     assert after.misses == misses
+    assert perfect_pairing_arrays.cache_info().misses == view_misses
+    # moment reads the array view, bounded and keyed by n alone, and adds no tuple table
+    views = perfect_pairing_arrays.cache_info()
+    assert views.maxsize == TABLE_CACHE_SIZE and views.currsize <= TABLE_CACHE_SIZE
+    perfect_pairing_arrays.cache_clear()  # a cold view: built without the tuple table
+    moment([rng.standard_normal(2) for _ in range(6)], 0.5)
+    assert pairing_table.cache_info() == after
+    assert perfect_pairing_arrays.cache_info().currsize == 1
+    for a in perfect_pairing_arrays(6):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
     # the two products and the expansion read no table at all
     multiply(random_element(rng, 2, 3), random_element(rng, 2, 3), 0.5)
     pattern = InsertionPattern.from_string("LILIL")
