@@ -13,11 +13,13 @@ Labels are arbitrary naturals, not necessarily ``1..n``, so that sub-pairings
 keep the labels of their parent set.  All values are immutable and all
 functions are pure.
 
-One recursion lists the pairings of positions ``0..n-1`` with their ``cr``
-and ``sp``, for the sums taken pairing by pairing.  It is read in two cached
-forms: ``pairing_table``, a tuple table keyed by ``n`` and ``k``, which
-``enumerate_pairings`` lists as ``Pairing`` values over a label set and the
-CLI prints; and ``perfect_pairing_arrays``, read-only arrays of the perfect
+One recursion, ``_list_pairings``, lists the arcs of the pairings of
+positions ``0..n-1``, and one pass over a pairing's arcs, ``_arc_stats``,
+counts its ``cr`` and ``sp``; ``contraction_stats`` reads the same pass.  The
+recursion is read in two cached forms: ``pairing_table``, a tuple table of
+``(pairs, cr, sp)`` keyed by ``n`` and ``k``, which ``enumerate_pairings``
+lists as ``Pairing`` values over a label set and the CLI prints; and
+``perfect_pairing_arrays``, read-only ``(cr, S, T)`` arrays of the perfect
 pairings keyed by ``n`` alone, which ``wickalg.moment`` sums over.  Each form
 keeps at most ``TABLE_CACHE_SIZE`` shapes, and neither depends on q or the
 dimension.  The Wick product (``wickalg.multiply``) and the insertion product
@@ -139,20 +141,16 @@ class CosetRep:
 # ---------------------------------------------------------------------------
 
 
-def contraction_stats(pairing: Pairing) -> tuple[int, int, int]:
-    """Return ``(cr, sp, crb)`` for a pairing, as the module docstring defines them.
+def _arc_stats(pairs, index) -> tuple[int, int]:
+    """``(cr, sp)`` of arcs sorted by first label, with ``index`` mapping each
+    label to its position.
 
     The labels strictly inside an arc are free, or ends of arcs nested in
     it or crossing it: a nested arc has both ends inside, and of two
     crossing arcs each has one end inside the other.  So ``sp`` is the
     number of labels inside the arcs less twice the nested and the crossing
-    pairs, which one pass over the arcs, sorted by first label, counts.
-
-    >>> contraction_stats(Pairing(((1, 4), (2, 5)), IndexSet.range(6)))
-    (1, 2, 3)
+    pairs, which one pass over the arcs counts.
     """
-    index = pairing.context._index
-    pairs = pairing.pairs
     inside = cr = nested = 0
     for i, (s, t) in enumerate(pairs):
         inside += index[t] - index[s] - 1
@@ -163,7 +161,16 @@ def contraction_stats(pairing: Pairing) -> tuple[int, int, int]:
                 nested += 1
             else:
                 cr += 1
-    sp = inside - 2 * (nested + cr)
+    return cr, inside - 2 * (nested + cr)
+
+
+def contraction_stats(pairing: Pairing) -> tuple[int, int, int]:
+    """Return ``(cr, sp, crb)`` for a pairing, as the module docstring defines them.
+
+    >>> contraction_stats(Pairing(((1, 4), (2, 5)), IndexSet.range(6)))
+    (1, 2, 3)
+    """
+    cr, sp = _arc_stats(pairing.pairs, pairing.context._index)
     return cr, sp, cr + sp
 
 
@@ -176,15 +183,15 @@ def mirror_double(pairing: Pairing) -> Pairing:
     holds for every pairing.
     """
     n = len(pairing.context)
-    pos = {label: i + 1 for i, label in enumerate(pairing.context)}
+    index = pairing.context._index
     doubled = IndexSet.range(2 * n)
     pairs: list[tuple[int, int]] = []
     for s, t in pairing.pairs:
-        ps, pt = pos[s], pos[t]
+        ps, pt = index[s] + 1, index[t] + 1
         pairs.append((ps, pt))
         pairs.append((2 * n + 1 - pt, 2 * n + 1 - ps))
     for x in pairing.free():
-        px = pos[x]
+        px = index[x] + 1
         pairs.append((px, 2 * n + 1 - px))
     return Pairing(tuple(pairs), doubled)
 
@@ -198,8 +205,8 @@ TABLE_CACHE_SIZE = 256
 
 
 def _list_pairings(n: int, k: int | None) -> tuple:
-    """The pairing recursion, uncached: ``pairing_table`` caches its tuples and
-    ``perfect_pairing_arrays`` turns them into arrays."""
+    """The arcs of each pairing, uncached: ``pairing_table`` and
+    ``perfect_pairing_arrays`` add the statistics they need and cache."""
     if k is not None and k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     covered = [False] * n
@@ -208,10 +215,9 @@ def _list_pairings(n: int, k: int | None) -> tuple:
 
     # Arcs are placed in increasing order of their first position, which
     # yields the pairings in lexicographic order.
-    def rec(start: int, cr: int) -> None:
+    def rec(start: int) -> None:
         if k is None or len(arcs) == k:
-            sp = sum(1 for a, b in arcs for x in range(a + 1, b) if not covered[x])
-            table.append((tuple(arcs), cr, sp))
+            table.append(tuple(arcs))
             if len(arcs) == k:
                 return
         # open positions from s on; one skipped over stays free
@@ -225,15 +231,14 @@ def _list_pairings(n: int, k: int | None) -> tuple:
             covered[s] = True
             for t in range(s + 1, n):
                 if not covered[t]:
-                    extra = sum(1 for a, b in arcs if a < s < b < t)
                     arcs.append((s, t))
                     covered[t] = True
-                    rec(s + 1, cr + extra)
+                    rec(s + 1)
                     covered[t] = False
                     arcs.pop()
             covered[s] = False
 
-    rec(0, 0)
+    rec(0)
     return tuple(table)
 
 
@@ -252,7 +257,7 @@ def pairing_table(n: int, k: int | None = None) -> tuple:
     (((0, 2),), 0, 1)
     (((1, 2),), 0, 0)
     """
-    return _list_pairings(n, k)
+    return tuple((pairs, *_arc_stats(pairs, range(n))) for pairs in _list_pairings(n, k))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -271,8 +276,8 @@ def perfect_pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n % 2:
         raise ValueError(f"a perfect pairing needs an even n, got {n}")
     table = _list_pairings(n, n // 2)
-    cr = np.array([c for _, c, _ in table], dtype=np.intp)
-    arcs = np.array([pairs for pairs, _, _ in table], dtype=np.intp).reshape(len(table), n // 2, 2)
+    cr = np.array([_arc_stats(pairs, range(n))[0] for pairs in table], dtype=np.intp)
+    arcs = np.array(table, dtype=np.intp).reshape(len(table), n // 2, 2)
     S, T = np.ascontiguousarray(arcs[:, :, 0].T), np.ascontiguousarray(arcs[:, :, 1].T)
     for a in (cr, S, T):
         a.flags.writeable = False
@@ -308,19 +313,13 @@ def coset_reps(n: int, k: int) -> list[CosetRep]:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     reps = []
     for positions in itertools.combinations(range(n), k):
+        chosen = set(positions)
+        places = positions + tuple(i for i in range(n) if i not in chosen)
         perm = [0] * n
-        low = iter(range(1, k + 1))
-        high = iter(range(k + 1, n + 1))
-        pos_set = set(positions)
-        for i in range(n):
-            perm[i] = next(low) if i in pos_set else next(high)
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if perm[j] < perm[i]
-        )
-        reps.append(CosetRep(tuple(perm), inv))
+        for value, i in enumerate(places, 1):
+            perm[i] = value
+        # the low value at p_j is passed by the p_j - j high values before it
+        reps.append(CosetRep(tuple(perm), sum(p - j for j, p in enumerate(positions))))
     reps.sort(key=lambda r: r.permutation)
     assert len(reps) == comb(n, k)
     return reps

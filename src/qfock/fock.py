@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,11 +264,7 @@ class TruncatedOperator:
     cutoff: int
     out_map: dict[int, tuple[int, ...]]
     _act: object  # callable: (k_in, (d^k_in, batch) array) -> dict[k_out, ndarray]
-    _cache: dict | None = None
-
-    def __post_init__(self):
-        if self._cache is None:
-            self._cache = {}
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def exact_sectors(self) -> set[int]:

@@ -250,6 +250,16 @@ def test_stats_on_a_sparse_context():
         assert contraction_stats(p) == (cr, sp, cr + sp) == contraction_stats_by_pairs(p)
 
 
+def test_perfect_crossing_numbers_match_the_definition():
+    # moment's oracle reads the table's cr, which the same arc pass counts, so
+    # the arrays' cr is checked against the definition here
+    for n in range(0, 13, 2):
+        cr, S, T = perfect_pairing_arrays(n)
+        rows = [pairs for pairs, _, _ in pairing_table(n, n // 2)]
+        assert [tuple(zip(s, t)) for s, t in zip(S.T.tolist(), T.T.tolist())] == rows
+        assert cr.tolist() == [stats(arcs, n)[0] for arcs in rows]
+
+
 def test_doubling_identity_exhaustive():
     # crb(p) equals half the crossing number of the mirror-doubled pairing
     for n in range(7):
@@ -345,6 +355,10 @@ def test_coset_reps_minimize_inversions_in_class():
                         relabel.update(zip(range(k + 1, n + 1), hi))
                         other = tuple(relabel[v] for v in base)
                         assert _inversions(other) >= rep.inversions
+    for n in range(11):
+        for k in range(n + 1):
+            for rep in coset_reps(n, k):
+                assert rep.inversions == _inversions(rep.permutation)
 
 
 def test_q_binomial_sum_bounded_by_constant():

@@ -759,6 +759,15 @@ def test_composition_builds_no_block_of_its_factors(rng):
     assert op_a._cache == {} and op_b._cache == {}
 
 
+def test_repr_and_equality_ignore_cached_blocks(rng):
+    op = to_operator(random_element(rng, 3, 2), 0.5, 6)
+    twin = TruncatedOperator(op.d, op.cutoff, op.out_map, op._act)
+    before = repr(op)
+    op.block(2)
+    assert len(repr(op)) == len(before)
+    assert op == twin
+
+
 # -- serialization ------------------------------------------------------------------------
 
 
