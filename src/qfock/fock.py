@@ -6,22 +6,24 @@ Everything acts on the truncated Fock space ``⊕_{k<=N} H^{⊗k}`` over a real
 ``d``-dimensional one-particle space.  Operators track on which input sectors
 they are *exact* (no intermediate result ever leaves the truncation); applying
 an operator outside its exact range raises ``TruncationError`` instead of
-silently truncating.  An operator is a map on column batches: it takes a
-``(d^k, batch)`` array of sector-``k`` vectors to the ``(d^{k'}, batch)``
-arrays of the sectors it reaches.  A dense sector block is that map applied
-to the identity batch, built only when asked for and cached, since a block
+silently truncating.  An operator is one linear map on graded column batches:
+it takes ``{k: (d^k, batch)}`` arrays, one batch width for every sector, to
+the ``(d^{k'}, batch)`` arrays of the sectors they reach, with the images of
+all input sectors summed.  A dense sector block is that map applied to one
+sector's identity batch, built only when asked for and cached, since a block
 from sector ``k`` to sector ``k'`` has ``d^{k+k'}`` entries; a composition
-chains the two maps and builds no block of either factor.  Every operator is
-a Wick assembly or a composition of them: all Wick terms of an element act
-in one pass of a stacked annihilation per sector, each through its
-shuffle-weighted hat, which one pass over the term's axes builds with work
-polynomial in the degree; creation, annihilation, the field and ``c·Id`` are
-Wick operators of chaos 0 or 1.  Sums and multiples are taken on
-``restricted_matrix`` arrays.
+chains the two maps, so a graded batch passes each factor once and no block
+of either factor is built.  Every operator is a Wick assembly or a
+composition of them: all Wick terms of an element act in one pass of a
+stacked annihilation per sector, each through its shuffle-weighted hat, which
+one pass over the term's axes builds with work polynomial in the degree;
+creation, annihilation, the field and ``c·Id`` are Wick operators of chaos 0
+or 1.  Sums and multiples are taken on ``restricted_matrix`` arrays.  The one
+q-symmetrizer is ``_pq_tail``; the fq norm applies it to the stacked matrix
+and caches nothing.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -220,20 +222,6 @@ def pq_matrix(d: int, n: int, q: float) -> np.ndarray:
     return _pq_tail(np.eye(d ** n), d, n, q).T
 
 
-PQ_CHOLESKY_CACHE_SIZE = 64  # factors kept: a grid of up to 7 values of q at cutoff <= 8
-
-
-@functools.lru_cache(maxsize=PQ_CHOLESKY_CACHE_SIZE)
-def _pq_cholesky(d: int, k: int, q: float) -> np.ndarray:
-    """The read-only lower Cholesky factor of ``pq_matrix(d, k, q)``.
-
-    Raises ``np.linalg.LinAlgError`` if P_q is not positive definite.
-    """
-    L = np.linalg.cholesky(pq_matrix(d, k, q))
-    L.flags.writeable = False
-    return L
-
-
 def q_inner(left: FockTensor, right: FockTensor, q: float) -> float:
     """The q-twisted inner product ``<F, P_q G>``; zero across degrees."""
     if left.d != right.d:
@@ -254,44 +242,44 @@ class TruncatedOperator:
 
     ``out_map[k]`` lists the sectors that input sector ``k`` can reach; input
     sectors absent from ``out_map`` are not exact.  The operator is the map
-    ``_act(k_in, X)``: a ``(d^{k_in}, batch)`` array of sector vectors goes to
-    ``{k_out: (d^{k_out}, batch)}``.  A block, the dense matrix of shape
-    ``(d^{k_out}, d^{k_in})``, is that map applied to the identity batch,
-    built on first use and cached.
+    ``_act(X)`` on graded column batches: ``X = {k_in: (d^{k_in}, batch)}``,
+    one batch width for every sector, goes to ``{k_out: (d^{k_out}, batch)}``,
+    the images of all input sectors summed.  A block, the dense matrices of
+    shape ``(d^{k_out}, d^{k_in})`` by output sector, is that map applied to
+    the identity batch of sector ``k_in``, built on first use and cached.
     """
 
     d: int
     cutoff: int
     out_map: dict[int, tuple[int, ...]]
-    _act: object  # callable: (k_in, (d^k_in, batch) array) -> dict[k_out, ndarray]
+    _act: object  # callable: {k_in: (d^k_in, batch) array} -> dict[k_out, ndarray]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def exact_sectors(self) -> set[int]:
         return set(self.out_map)
 
-    def act(self, k_in: int, X: np.ndarray) -> dict[int, np.ndarray]:
-        """The images of the columns of X, a ``(d^{k_in}, batch)`` array, by sector."""
-        if k_in not in self.out_map:
-            raise TruncationError(
-                f"operator is not exact on input sector {k_in} (cutoff {self.cutoff})")
-        return self._act(k_in, X)
+    def _require_exact(self, sectors) -> None:
+        for k in sectors:
+            if k not in self.out_map:
+                raise TruncationError(
+                    f"operator is not exact on input sector {k} (cutoff {self.cutoff})")
+
+    def act(self, X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """The image of the graded batch ``X = {k_in: (d^{k_in}, batch)}``, by sector."""
+        self._require_exact(X)
+        return self._act(X)
 
     def block(self, k_in: int) -> dict[int, np.ndarray]:
         if k_in not in self._cache:
-            self._cache[k_in] = self.act(k_in, np.eye(self.d ** k_in))
+            self._cache[k_in] = self.act({k_in: np.eye(self.d ** k_in)})
         return self._cache[k_in]
 
     def apply(self, vec: FockVector) -> FockVector:
         if vec.d != self.d:
             raise ValueError("dimension mismatch")
-        out: dict[int, np.ndarray] = {}
-        for k, arr in vec.sectors.items():
-            if not np.any(arr):
-                continue
-            for k_out, col in self.act(k, arr.reshape(-1, 1)).items():
-                out[k_out] = out.get(k_out, 0.0) + col.reshape((self.d,) * k_out)
-        return FockVector(self.d, out)
+        out = self.act({k: arr.reshape(-1, 1) for k, arr in vec.sectors.items() if np.any(arr)})
+        return FockVector(self.d, {k: col.reshape((self.d,) * k) for k, col in out.items()})
 
     def compose(self, inner: "TruncatedOperator") -> "TruncatedOperator":
         """The product self∘inner (inner applied first)."""
@@ -305,22 +293,16 @@ class TruncatedOperator:
                 for m in mids:
                     outs.update(outer.out_map[m])
                 out_map[k] = tuple(sorted(outs))
-
-        def act(k, X):
-            out: dict[int, np.ndarray] = {}
-            for mid, Y in inner.act(k, X).items():
-                for k_out, Z in outer.act(mid, Y).items():
-                    out[k_out] = out.get(k_out, 0.0) + Z
-            return out
-
-        return TruncatedOperator(self.d, min(self.cutoff, inner.cutoff), out_map, act)
+        return TruncatedOperator(self.d, min(self.cutoff, inner.cutoff), out_map,
+                                 lambda X: outer.act(inner.act(X)))
 
     # -- dense restrictions ---------------------------------------------------
 
     def out_sectors(self, sectors_in) -> list[int]:
         """The sorted sectors that ``sectors_in`` reach, or ``[0]`` if they reach none."""
-        outs = {k_out for k in sectors_in for k_out in self.block(k)}
-        return sorted(outs) or [0]
+        sectors_in = list(sectors_in)
+        self._require_exact(sectors_in)
+        return sorted({k_out for k in sectors_in for k_out in self.out_map[k]}) or [0]
 
     def restricted_matrix(self, sectors_in, sectors_out=None) -> np.ndarray:
         """Stacked dense matrix over the given input (and output) sectors."""
@@ -383,11 +365,11 @@ def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
 
     A term makes ``k = deg F - ell`` creations after ``ell`` annihilations;
     input sector m is exact if every term with ``ell <= m`` stays within the
-    cutoff.  The action applies ``_annihilate`` to the batch X of sector-m
-    columns and, after step ``ell``, adds ``hat @ T_ell`` to sector
-    ``m + k - ell``, with ``hat`` the ``d^k × d^ell`` shuffle-weighted tensor
-    (``_shuffle_weighted_tensor``), built once if used.  On ``X = eye(d^m)``
-    these are the sector's blocks.
+    cutoff.  For each sector m of the batch X the action applies
+    ``_annihilate`` to the sector-m columns and, after step ``ell``, adds
+    ``hat @ T_ell`` to sector ``m + k - ell``, with ``hat`` the ``d^k × d^ell``
+    shuffle-weighted tensor (``_shuffle_weighted_tensor``), built once if
+    used.  On ``X = {m: eye(d^m)}`` these are the sector's blocks.
     """
     out_map: dict[int, tuple[int, ...]] = {}
     for m in range(cutoff + 1):
@@ -400,15 +382,16 @@ def _wick_assembly(d: int, terms, q: float, cutoff: int) -> TruncatedOperator:
             hat = _shuffle_weighted_tensor(F, F.ndim - ell, q)
             by_ell.setdefault(ell, []).append((F.ndim - ell, hat.reshape(-1, d ** ell)))
 
-    def act(m, X):
-        out = dict.fromkeys(m + F.ndim - 2 * ell for F, ell in terms if ell <= m)
-        batch = X.shape[1]
-        T = X.reshape(1, d ** m, batch)
-        for ell in range(min(m, max(by_ell, default=0)) + 1):
-            T = _annihilate(T, d, m - ell + 1, q) if ell else T
-            for k, hat in by_ell.get(ell, ()):
-                blk = (hat @ T.reshape(d ** ell, -1)).reshape(-1, batch)
-                out[m + k - ell] = blk if out[m + k - ell] is None else out[m + k - ell] + blk
+    def act(X):
+        out = dict.fromkeys(m + F.ndim - 2 * ell for m in X for F, ell in terms if ell <= m)
+        for m, Xm in X.items():
+            batch = Xm.shape[1]
+            T = Xm.reshape(1, d ** m, batch)
+            for ell in range(min(m, max(by_ell, default=0)) + 1):
+                T = _annihilate(T, d, m - ell + 1, q) if ell else T
+                for k, hat in by_ell.get(ell, ()):
+                    blk = (hat @ T.reshape(d ** ell, -1)).reshape(-1, batch)
+                    out[m + k - ell] = blk if out[m + k - ell] is None else out[m + k - ell] + blk
         return out
 
     return TruncatedOperator(d, cutoff, out_map, act)
@@ -463,31 +446,37 @@ def operator_norm(op: TruncatedOperator, sectors, metric: str = "f0",
                   q: float | None = None) -> float:
     """Largest singular value of the operator restricted to ``sectors``.
 
-    Computed exactly, by a dense SVD of the stacked sector blocks.  With
-    ``metric="fq"`` the singular value is taken in the q-twisted geometry,
-    which requires |q| < 1: with ``P_q = L L^T`` the Cholesky factor of each
-    sector (cached by ``_pq_cholesky``), the matrix becomes
-    ``L_out^T · M · L_in^{-T}``, which has the singular values of
-    ``P_q^{1/2} · M · P_q^{-1/2}``.
+    Computed exactly from the dense stacked sector blocks M: with
+    ``metric="f0"`` by the SVD of M.  With ``metric="fq"`` the singular value
+    is taken in the q-twisted geometry ``<·, P_q ·>``, which requires |q| < 1:
+    it is the square root of the largest eigenvalue of
+    ``L^{-1} · M^T (P_q M) · L^{-T}``, where ``_pq_tail`` forms ``P_q M`` on
+    each output sector's rows and L is block-diagonal, the Cholesky factor of
+    each input sector's P_q.  As ``P_q = L L^T`` there, that matrix is similar
+    to ``A^T A`` for ``A = P_q^{1/2} M P_q^{-1/2}``.  Nothing is cached.
     """
     sectors = sorted(sectors)
     if not sectors:
         raise ValueError("empty sector range")
     sectors_out = op.out_sectors(sectors)
     mat = op.restricted_matrix(sectors, sectors_out)
-    if metric == "fq":
-        if q is None:
-            raise ValueError("metric='fq' requires q")
-        if not -1.0 < q < 1.0:
-            raise ValueError("q-metric norm requires |q| < 1")
-        from scipy.linalg import block_diag, solve_triangular  # imported here: only fq reads it
-
-        try:
-            L_in, L_out = (block_diag(*(_pq_cholesky(op.d, k, q) for k in ks))
-                           for ks in (sectors, sectors_out))
-        except np.linalg.LinAlgError:
-            raise ValueError("metric matrix is not positive definite") from None
-        mat = solve_triangular(L_in, (L_out.T @ mat).T, lower=True).T
-    elif metric != "f0":
+    if metric == "f0":
+        return float(np.linalg.norm(mat, 2))
+    if metric != "fq":
         raise ValueError(f"unknown metric {metric!r}")
-    return float(np.linalg.norm(mat, 2))
+    if q is None:
+        raise ValueError("metric='fq' requires q")
+    if not -1.0 < q < 1.0:
+        raise ValueError("q-metric norm requires |q| < 1")
+    cols = np.cumsum([0] + [op.d ** k for k in sectors])
+    rows = np.cumsum([0] + [op.d ** k for k in sectors_out])
+    L = np.zeros((cols[-1], cols[-1]))
+    try:
+        for i, k in enumerate(sectors):
+            L[cols[i]:cols[i + 1], cols[i]:cols[i + 1]] = np.linalg.cholesky(pq_matrix(op.d, k, q))
+    except np.linalg.LinAlgError:
+        raise ValueError("metric matrix is not positive definite") from None
+    pq_mat_t = np.hstack([_pq_tail(mat[rows[i]:rows[i + 1]].T, op.d, k, q)
+                          for i, k in enumerate(sectors_out)])  # (P_q M)^T
+    G = np.linalg.solve(L, pq_mat_t @ mat)
+    return float(np.sqrt(max(np.linalg.eigvalsh(np.linalg.solve(L, G.T))[-1], 0.0)))

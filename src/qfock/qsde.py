@@ -278,8 +278,6 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     predictions = {"unordered": pu, "ordered": pu.scale(2.0)}
     dts = [g.dt for g in grids]
     lows = [_residual(W, dt).chaos_part(range(p - 1)) for dt in dts]
-    norms = {name: [triple_norm(low - pred.scale(dt), q) for low, dt in zip(lows, dts)]
-             for name, pred in predictions.items()}
 
     # the convention is read on the finest grid, the last of the sweep
     mismatches = {name: triple_norm(lows[-1].scale(1.0 / dts[-1]) - pred, q)
@@ -290,7 +288,8 @@ def ito_residual(p: int, t: float, grid: TimeGrid, q: float) -> dict:
     if candidates:
         matched = min(candidates, key=mismatches.get)
 
-    report_norms = norms[matched] if matched != "neither" else norms["unordered"]
+    pred = predictions.get(matched, pu)
+    report_norms = [triple_norm(low - pred.scale(dt), q) for low, dt in zip(lows, dts)]
     positive = [(dt, r) for dt, r in zip(dts, report_norms) if r > 1e-300]
     if len(positive) >= 2:
         xs = np.log([dt for dt, _ in positive])

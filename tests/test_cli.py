@@ -29,9 +29,11 @@ def _strip_elapsed(text):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported by the two functions that read it, not at start-up
+    # scipy is imported by bphz_constant alone, not at start-up nor by an fq norm
     src = str(Path(cli.__file__).parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qfock, qfock.cli; "
+             "op = qfock.fock.wick_operator(2, {0: 1.0, 2: [[1.0, 0.5], [0.0, -1.0]]}, 0.5, 4); "
+             "qfock.fock.operator_norm(op, sorted(op.exact_sectors), metric='fq', q=0.5); "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
                          text=True, check=True).stdout

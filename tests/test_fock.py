@@ -381,8 +381,15 @@ def _kron_annihilation_block(f, q, k):
 
 
 def acting_by(blocks):
-    """The action of dense blocks, ``blocks(k) = {k_out: block}``, on a column batch."""
-    return lambda k, X: {ko: B @ X for ko, B in blocks(k).items()}
+    """The action of dense blocks, ``blocks(k) = {k_out: block}``, on a graded batch."""
+    def act(X):
+        out = {}
+        for k, Xk in X.items():
+            for ko, B in blocks(k).items():
+                out[ko] = out.get(ko, 0.0) + B @ Xk
+        return out
+
+    return act
 
 
 def reference_creation(f, cutoff):
@@ -609,28 +616,10 @@ def test_fq_norm_matches_eigh_conjugation(q, rng):
 
 
 def test_fq_norm_refuses_a_metric_without_cholesky_factor(monkeypatch):
-    # a P_q that is not positive definite has no Cholesky factor; the cached
-    # factors of the real P_q are dropped so that the patched one is read
-    qfock.fock._pq_cholesky.cache_clear()
+    # a P_q that is not positive definite has no Cholesky factor
     monkeypatch.setattr(qfock.fock, "pq_matrix", lambda d, k, q: -np.eye(d ** k))
     with pytest.raises(ValueError, match="not positive definite"):
         operator_norm(wick_operator(2, {0: 1.0}, 0.0, 2), [0, 1], metric="fq", q=0.5)
-
-
-def test_fq_factors_are_cached_read_only(rng):
-    cache = qfock.fock._pq_cholesky
-    assert cache.cache_info().maxsize == qfock.fock.PQ_CHOLESKY_CACHE_SIZE
-    op = to_operator(random_element(rng, 2, 2), 0.5, 5)
-    sectors = sorted(op.exact_sectors)
-    first = operator_norm(op, sectors, metric="fq", q=0.5)
-    misses = cache.cache_info().misses
-    assert operator_norm(op, sectors, metric="fq", q=0.5) == first
-    assert cache.cache_info().misses == misses
-    L = cache(2, 3, 0.5)
-    assert not L.flags.writeable
-    with pytest.raises(ValueError):
-        L[0, 0] = 0.0
-    assert np.array_equal(L, np.linalg.cholesky(pq_matrix(2, 3, 0.5)))
 
 
 def test_free_field_norm_approaches_two():
@@ -658,6 +647,12 @@ def test_apply_outside_exact_range_refuses(rng):
     bad = FockVector(d, {N: rng.standard_normal((d,) * N)})
     with pytest.raises(TruncationError):
         op.apply(bad)
+    # the sector lists read out_map, which has no entry for an inexact sector
+    for reads_sector_n in (lambda: op.out_sectors([N]), lambda: op.restricted_matrix([N]),
+                           lambda: operator_norm(op, [N]),
+                           lambda: operator_norm(op, [N], metric="fq", q=0.5)):
+        with pytest.raises(TruncationError):
+            reads_sector_n()
 
 
 def test_composition_tracks_exactness(rng):
@@ -711,6 +706,7 @@ def test_composed_chains_match_dense_products(d, rng):
                     continue
                 want, outs = _dense_chain(chain, sectors)
                 assert composed.out_sectors(sectors) == outs
+                assert composed._cache == {}  # out_sectors reads out_map, not blocks
                 _assert_close(composed.restricted_matrix(sectors, outs), want)
 
 
@@ -720,16 +716,30 @@ def test_action_is_the_block_times_the_batch(d, rng):
     for q in (-0.9, 0.5, 1.0):
         factors = _factors(rng, d, q, cutoff)
         for op in factors + [factors[3].compose(factors[4]), factors[6].compose(factors[2])]:
-            for k in sorted(op.exact_sectors):
-                X = rng.standard_normal((d ** k, 5))
-                acted, blocks = op.act(k, X), op.block(k)
+            sectors = sorted(op.exact_sectors)
+            X = {k: rng.standard_normal((d ** k, 5)) for k in sectors}
+            want, scale = {}, {}
+            for k in sectors:
+                acted, blocks = op.act({k: X[k]}), op.block(k)
                 assert list(acted) == list(blocks)
                 for k_out, blk in blocks.items():
-                    _assert_close(acted[k_out], blk @ X)
-                vec = FockVector(d, {k: X[:, 0].reshape((d,) * k)})
+                    _assert_close(acted[k_out], blk @ X[k])
+                    want[k_out] = want.get(k_out, 0.0) + blk @ X[k]
+                    scale[k_out] = max(scale.get(k_out, 0.0), np.max(np.abs(blk @ X[k])))
+                vec = FockVector(d, {k: X[k][:, 0].reshape((d,) * k)})
                 out = op.apply(vec)
                 for k_out, blk in blocks.items():
-                    _assert_close(out.sector(k_out).reshape(-1), blk @ X[:, 0])
+                    _assert_close(out.sector(k_out).reshape(-1), blk @ X[k][:, 0])
+            # a batch over every exact sector, or a vector with every sector
+            # nonzero, goes to the sum of its sectors' images; the sum is
+            # associated differently, so it is compared on the images' scale
+            acted = op.act(X)
+            out = op.apply(FockVector(d, {k: X[k][:, 0].reshape((d,) * k) for k in sectors}))
+            assert sorted(acted) == sorted(out.sectors) == sorted(want)
+            for k_out, img in want.items():
+                assert np.max(np.abs(acted[k_out] - img)) <= 1e-14 * scale[k_out]
+                assert np.max(np.abs(out.sector(k_out).reshape(-1) - img[:, 0])) <= \
+                    1e-14 * scale[k_out]
 
 
 def test_action_outside_exact_range_refuses(rng):
@@ -739,7 +749,9 @@ def test_action_outside_exact_range_refuses(rng):
                creation(f, N).compose(field_operator(f, 0.5, N))):
         bad = min(set(range(N + 2)) - op.exact_sectors)
         with pytest.raises(TruncationError):
-            op.act(bad, np.ones((d ** bad, 2)))
+            op.act({bad: np.ones((d ** bad, 2))})
+        with pytest.raises(TruncationError):
+            op.act({0: np.ones((1, 2)), bad: np.ones((d ** bad, 2))})
 
 
 def test_composition_builds_no_block_of_its_factors(rng):
@@ -757,6 +769,20 @@ def test_composition_builds_no_block_of_its_factors(rng):
     assert sorted(blocks) == [0, 1, 2] and blocks[2][8].shape == (d ** 8, d ** 2)
     assert peak < 4 * 2 ** 20
     assert op_a._cache == {} and op_b._cache == {}
+
+
+def test_composition_acts_once_per_middle_sector(rng):
+    # a graded batch passes the outer factor once, whatever sectors it spans
+    d, cutoff, q = 2, 7, 0.5
+    outer, inner = (to_operator(random_element(rng, d, 3), q, cutoff) for _ in range(2))
+    calls, act = [], outer._act
+    outer._act = lambda X: calls.append(list(X)) or act(X)
+    composed = outer.compose(inner)
+    sectors = sorted(composed.exact_sectors)
+    assert len(sectors) > 1
+    composed.act({k: rng.standard_normal((d ** k, 3)) for k in sectors})
+    mids = sorted({m for k in sectors for m in inner.out_map[k]})
+    assert len(calls) == 1 and sorted(calls[0]) == mids
 
 
 def test_repr_and_equality_ignore_cached_blocks(rng):
